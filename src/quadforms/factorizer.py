@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .composition import class_multiples
 from .forms import QuadraticForm
@@ -289,23 +289,127 @@ def combine(residues: list[WitnessedResidue] | tuple[WitnessedResidue, ...], m: 
     return HarvestResult(tuple(out), tuple(factors))
 
 
+# Kernels whose prime factors are all at most this bound are sieved by residue
+# class; the others are left to the exact pass.
+_MASK_BOUND = 1000
+_MASK_PRIMES = primes_upto(_MASK_BOUND)
+_MASK_PRIMORIAL = prod(_MASK_PRIMES)
+# Stop sieving by residue class once this few candidates are left.
+_FEW_CANDIDATES = 16
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+@lru_cache(maxsize=None)
+def _nonresidue_period(q: int) -> tuple[int, int]:
+    """(pattern, period): bit i of the pattern is set iff (q / 2i+1) = -1.
+
+    For q = -1 or 2 and for an odd prime q, the Jacobi symbol (q/n) over odd n
+    depends only on n mod 4, n mod 8 and n mod 4q (quadratic reciprocity), so
+    the pattern over indices i, where n = 2i + 1, repeats every 2, 4 or 2q.
+    Bits for the odd multiples of q are clear.
+    """
+    if q == -1:
+        return 0b10, 2
+    if q == 2:
+        return 0b0110, 4
+    squares = bytearray(q)
+    for x in range(1, q // 2 + 1):
+        squares[x * x % q] = 1
+    flip = q % 4 == 3
+    pattern = 0
+    for i in range(2 * q):
+        n = 2 * i + 1
+        r = n % q
+        if r and (not squares[r]) != (flip and n % 4 == 3):
+            pattern |= 1 << i
+    return pattern, 2 * q
+
+
+def _nonresidue_mask(q: int, width: int) -> int:
+    """Bit i set iff (q / 2i+1) = -1, for i < width: one period tiled."""
+    mask, period = _nonresidue_period(q)
+    while period < width:
+        mask |= mask << period
+        period *= 2
+    return mask & ((1 << width) - 1)
+
+
+def _odd_prime_mask(width: int) -> int:
+    """Bit i set iff 2i + 1 is prime, for i < width."""
+    flags = bytearray([1]) * width
+    flags[0] = 0
+    for i in range(1, (isqrt(2 * width - 1) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, width, p)))
+    return int(flags[::-1].translate(_BINARY_DIGITS), 2)
+
+
+def _mask_support(kernel: int) -> tuple[int, ...] | None:
+    """Prime factors of a squarefree kernel (with -1 for the sign) if all are <= _MASK_BOUND."""
+    k = abs(kernel)
+    if gcd(k, _MASK_PRIMORIAL) != k:
+        return None
+    support = [-1] if kernel < 0 else []
+    for q in _MASK_PRIMES:
+        if k == 1:
+            break
+        if k % q == 0:
+            support.append(q)
+            k //= q
+    return tuple(support)
+
+
 def sieve_candidates(
     residues: list[WitnessedResidue] | tuple[WitnessedResidue, ...], limit: int
 ) -> tuple[int, ...]:
-    """Odd primes p <= limit for which no kernel is a non-residue mod p."""
+    """Odd primes p <= limit for which no kernel is a non-residue mod p.
+
+    A residue-class sieve first: over one bit per odd n <= limit, each kernel
+    that factors over primes <= _MASK_BOUND clears the odd n where its Jacobi
+    symbol is -1, the XOR of the tiled non-residue masks of its prime factors
+    and sign.  Kernels are added until only a few odd primes are left.  The
+    exact predicate, jacobi(k, p) != -1 for every kernel k not divisible by p,
+    then decides those primes and the masked kernels' own prime factors, where
+    the masks do not apply, so the result is that of the predicate over every
+    odd prime <= limit.
+    """
     if not residues:
         raise DomainError("an empty residue pool would pass every prime")
-    kernels: list[int] = []
-    for r in residues:
-        if abs(r.kernel) != 1 and r.kernel not in kernels:
-            kernels.append(r.kernel)
-    out = []
-    for p in primes_upto(limit):
-        if p == 2:
+    if limit < 3:
+        return ()
+    kernels = list(dict.fromkeys(r.kernel for r in residues if abs(r.kernel) != 1))
+    width = (limit + 1) // 2
+    survivors = _odd_prime_mask(width)
+    masks: dict[int, int] = {}
+    # the masked kernels' own primes, where the masks do not apply
+    candidates: set[int] = set()
+    left = survivors.bit_count()
+    for k in kernels:
+        if left <= _FEW_CANDIDATES:
+            break
+        support = _mask_support(k)
+        if support is None:
             continue
-        if all(jacobi(k, p) != -1 for k in kernels if k % p):
-            out.append(p)
-    return tuple(out)
+        mask = 0
+        for q in support:
+            if q not in masks:
+                masks[q] = _nonresidue_mask(q, width)
+            mask ^= masks[q]
+            if 2 < q <= limit:
+                candidates.add(q)
+        survivors &= ~mask
+        left = survivors.bit_count()
+    bits = bin(survivors)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        candidates.add(2 * i + 1)
+        i = bits.find("1", i + 1)
+    return tuple(
+        p
+        for p in sorted(candidates)
+        if all(jacobi(k, p) != -1 for k in kernels if k % p)
+    )
 
 
 @dataclass(frozen=True)

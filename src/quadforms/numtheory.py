@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: gcd chains, residues, Jacobi symbols, trial division."""
+"""Exact integer arithmetic: gcd chains, residues, Jacobi symbols, primality, trial division."""
 
 from __future__ import annotations
 
@@ -116,17 +116,62 @@ def primes_upto(bound: int) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
+# Miller-Rabin bases: the first 13 primes.  Below each bound, the strong test
+# to the first `count` of them is a proof of primality (Jaeschke, Math. Comp.
+# 61, 1993; Sorenson & Webster, Math. Comp. 86, 2017).  The bound 2047 for the
+# base 2 alone is left out: trial division decides below 2**16.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASE_PRODUCT = prod(_MR_BASES)
+_MR_PROOF_BOUNDS = (
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+# Below this, trial division up to sqrt(n) is faster than two modular powers.
+_TRIAL_DIVISION_BELOW = 1 << 16
+
+
 def is_prime(n: int) -> bool:
-    """Primality by trial division up to sqrt(n); a proof, not a probable test."""
-    if n < 2:
+    """Primality, proven: deterministic Miller-Rabin, with trial division at both ends.
+
+    From 2**16 up to the last bound of _MR_PROOF_BOUNDS (about 3.3e24) the
+    strong test to the smallest sufficient set of prime bases decides.  Below
+    2**16, trial division up to sqrt(n) is faster; above the last bound, n
+    must pass all 13 bases and then trial division, so a True is never
+    probabilistic.
+    """
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES
+    if gcd(n, _MR_BASE_PRODUCT) != 1:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
+    if n >= _TRIAL_DIVISION_BELOW:
+        d = n - 1
+        s = (d & -d).bit_length() - 1
+        d >>= s
+        for bound, count in _MR_PROOF_BOUNDS:
+            if n < bound:
+                break
+        for a in _MR_BASES[:count]:
+            x = pow(a, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:
+            return True
+    d = 43  # the primes up to 41 were ruled out above
     while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
+        if n % d == 0 or n % (d + 4) == 0:
             return False
         d += 6
     return True

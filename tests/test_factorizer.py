@@ -6,7 +6,7 @@ import json
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadforms.factorizer import (
@@ -22,7 +22,7 @@ from quadforms.factorizer import (
     witnessed_residue,
 )
 from quadforms.forms import QuadraticForm
-from quadforms.numtheory import DomainError, full_factor, is_prime, squarefree_part
+from quadforms.numtheory import DomainError, full_factor, is_prime, jacobi, primes_upto, squarefree_part
 
 M = 997331
 BASE = QuadraticForm(3, 1, 332444)
@@ -160,6 +160,35 @@ def test_sieve_candidates_goldens():
     assert sieve_candidates([witnessed_residue(-1, 5, 2, "t")], 10) == (3, 5, 7)
     with pytest.raises(DomainError):
         sieve_candidates([], 100)
+
+
+def reference_sieve(kernels, limit):
+    """The sieve's specification: one Jacobi test per odd prime per distinct kernel."""
+    ks = []
+    for k in kernels:
+        if abs(k) != 1 and k not in ks:
+            ks.append(k)
+    return tuple(
+        p for p in primes_upto(limit) if p != 2 and all(jacobi(k, p) != -1 for k in ks if k % p)
+    )
+
+
+# raws whose kernels are units and +-2, have a prime factor <= limit (exempt
+# there), have a prime near the residue-class bound, or one far above limit
+sieve_raws = st.one_of(
+    st.sampled_from((-2, -1, 1, 2, 4, -8)),
+    st.integers(min_value=-5000, max_value=5000).filter(lambda n: n != 0),
+    st.builds(lambda k, q: k * q, st.sampled_from((1, -1, 3, -6, 10)), st.sampled_from((997, 1009, 7919, 1000003))),
+    st.integers(min_value=-(10**9), max_value=10**9).filter(lambda n: n != 0),
+)
+
+
+@given(st.lists(sieve_raws, min_size=1, max_size=40), st.integers(min_value=0, max_value=5000))
+@example([303], 101)  # 101 divides the kernel and is the limit itself
+@settings(max_examples=100, deadline=None)
+def test_sieve_candidates_matches_reference(raws, limit):
+    pool = [witnessed_residue(v, M, None, "t") for v in raws]
+    assert sieve_candidates(pool, limit) == reference_sieve([r.kernel for r in pool], limit)
 
 
 def test_factor_config_validation():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from math import gcd, isqrt, prod
 
 import pytest
@@ -152,9 +153,22 @@ def test_sqrt_mod_is_exhaustive_and_sorted(a, m):
 
 
 def test_is_prime_small_table():
-    known = set(primes_upto(1000))
-    for n in range(-3, 1000):
+    known = set(primes_upto(2 * 10**5))
+    for n in range(-3, 2 * 10**5):
         assert is_prime(n) == (n in known)
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases, then Carmichael numbers
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, 561, 41041):
+        assert not is_prime(n)
+
+
+def test_is_prime_mersenne_61_is_fast():
+    t0 = time.perf_counter()
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**61 - 1) * (2**31 - 1))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_trial_factor_pinned_values():
