@@ -113,7 +113,8 @@ def compose_general(
     q = tuple(x // mu for x in mq)
     if bezout is None:
         g, bezout = bezout_chain(q)
-        assert g == 1
+        if g != 1:
+            raise ArithmeticError(f"q = mq / {mu} still has content {g}")
     elif sum(bezout[i] * q[i] for i in range(4)) != 1:
         raise DomainError("bezout vector does not certify q")
     p = tuple(sum(mat[i][j] * bezout[j] for j in range(4)) for i in range(4))
@@ -131,7 +132,8 @@ def compose_general(
     t = (b_norm - b) // a
     p = tuple(p[i] - t * q[i] for i in range(4))
     c = (b_norm * b_norm - big_d) // a
-    assert b_norm * b_norm - a * c == big_d
+    if b_norm * b_norm - a * c != big_d:
+        raise ArithmeticError(f"composite ({a}, {b_norm}, {c}) misses determinant {big_d}")
     form = QuadraticForm(a, b_norm, c)
     return form, BilinearSubstitution(p, q, n1, n2, m1, m2)
 
@@ -187,8 +189,10 @@ def compose_same_det(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
         b = f1.b + m1 * (((f2.b - f1.b) * pow(m1, -1, m2)) % m2)
     b %= abs(a)
     c = (b * b - d) // a
-    assert (b - f1.b) % m1 == 0 and (b - f2.b) % m2 == 0
-    assert b * b - a * c == d
+    if (b - f1.b) % m1 or (b - f2.b) % m2:
+        raise ArithmeticError(f"middle coefficient {b} fails the CRT congruences")
+    if b * b - a * c != d:
+        raise ArithmeticError(f"composite ({a}, {b}, {c}) misses determinant {d}")
     return QuadraticForm(a, b, c)
 
 
@@ -237,7 +241,8 @@ def compose_prime_power(f1: QuadraticForm, f2: QuadraticForm, h: int) -> Quadrat
     a = h ** (chi + lam - 2 * nu)
     b = abs_min_residue(f1.b - b4 * f1.c * h ** (chi - nu), a) if a > 1 else 0
     c = (b * b - d) // a
-    assert b * b - a * c == d
+    if b * b - a * c != d:
+        raise ArithmeticError(f"composite ({a}, {b}, {c}) misses determinant {d}")
     return QuadraticForm(a, b, c)
 
 

@@ -55,34 +55,6 @@ def witnessed_residue(raw: int, modulus: int, witness: int | None, provenance: s
 
 
 @dataclass(frozen=True)
-class FactorBaseVector:
-    """GF(2) exponent vector of a kernel over a fixed odd-prime base plus sign."""
-
-    residue: WitnessedResidue
-    base: tuple[int, ...]
-    bits: tuple[int, ...]
-    sign_bit: int
-
-    @classmethod
-    def from_residue(cls, residue: WitnessedResidue, base: tuple[int, ...]) -> "FactorBaseVector":
-        k = abs(residue.kernel)
-        bits = []
-        for p in base:
-            if k % p == 0:
-                bits.append(1)
-                k //= p
-            else:
-                bits.append(0)
-        if k != 1:
-            raise DomainError(f"kernel {residue.kernel} has a prime outside the base")
-        return cls(residue, base, tuple(bits), 1 if residue.kernel < 0 else 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign_bit == 0 and not any(self.bits)
-
-
-@dataclass(frozen=True)
 class HarvestResult:
     """Residues gathered by one pipeline stage plus factors found on the way."""
 
@@ -241,51 +213,94 @@ def combine(residues: list[WitnessedResidue] | tuple[WitnessedResidue, ...], m: 
     Returns an independent generating set for the kernels (unit kernels are
     dropped) together with products of input pairs sharing a prime; any factor
     of m uncovered while dividing witnesses comes back in the factor channel.
+
+    The elimination runs on int masks (one bit per prime, largest prime
+    first, then the sign) and records its row operations; residues are then
+    multiplied in that order only for the rows that end nonzero.  A dropped
+    row can only surface a factor when a witness fails to invert mod m, which
+    needs a prime of m in some raw value, so then every row is multiplied.
     """
     factors: list[int] = []
     pool = list(residues)
-    base = tuple(sorted({p for r in pool for p in _prime_support(r.kernel)}, reverse=True))
-    columns = len(base) + 1  # one column per prime, descending, then the sign
-
-    def mask_of(r: WitnessedResidue) -> int:
-        v = FactorBaseVector.from_residue(r, base)
-        bits = 0
-        for i, bit in enumerate(v.bits):
-            bits |= bit << i
-        return bits | (v.sign_bit << len(base))
-
-    work = [(mask_of(r), r) for r in pool]
+    supports = [_prime_support(r.kernel) for r in pool]
+    base = sorted(set().union(*supports), reverse=True)
+    bit_of = {p: 1 << i for i, p in enumerate(base)}
+    sign = 1 << len(base)
+    masks = [
+        sum(bit_of[p] for p in support) | (sign if r.kernel < 0 else 0)
+        for r, support in zip(pool, supports)
+    ]
     used: set[int] = set()
-    for col in range(columns):
+    steps: list[tuple[int, int]] = []
+    for col in range(len(base) + 1):
         bit = 1 << col
-        pivot = next((i for i in range(len(work)) if i not in used and work[i][0] & bit), None)
+        hits = [i for i, v in enumerate(masks) if v & bit]
+        pivot = next((i for i in hits if i not in used), None)
         if pivot is None:
             continue
         used.add(pivot)
-        for i in range(len(work)):
-            if i != pivot and work[i][0] & bit:
-                work[i] = (
-                    work[i][0] ^ work[pivot][0],
-                    _multiply(work[i][1], work[pivot][1], m, factors),
-                )
+        pivot_mask = masks[pivot]
+        for i in hits:
+            if i != pivot:
+                masks[i] ^= pivot_mask
+                steps.append((i, pivot))
+    # pivot rows end nonzero, so every product a kept row needs is made
+    every_row = any(gcd(r.raw, m) > 1 for r in pool)
+    work = pool[:]
+    for i, pivot in steps:
+        if masks[i] or every_row:
+            work[i] = _multiply(work[i], work[pivot], m, factors)
+
     out: list[WitnessedResidue] = []
     seen: set[int] = set()
-    for _, r in work:
-        if r.kernel != 1 and r.kernel not in seen:
+    for v, r in zip(masks, work):
+        if v and r.kernel not in seen:
             seen.add(r.kernel)
             out.append(r)
-    # pairwise products that eliminate shared primes and genuinely shrink
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            k1, k2 = pool[i].kernel, pool[j].kernel
-            shared = gcd(abs(k1), abs(k2))
-            if shared == 1:
-                continue
+    # pairwise products that eliminate shared primes and genuinely shrink.  A
+    # repeated kernel repeats the products of its first row, so only the first
+    # rows of distinct kernels pair up.  The shared part of a kept pair is a
+    # divisor d of the smaller kernel k with d * d > |k|, a large divisor, so a
+    # kernel pairs only with those divisible by one of its large divisors and
+    # those with a large divisor dividing it.
+    first_row: dict[int, int] = {}
+    for i, r in enumerate(pool):
+        first_row.setdefault(r.kernel, i)
+    kernels = list(first_row)
+    divisors: list[list[int]] = []  # the divisors d > 1 of each kernel
+    for k in kernels:
+        ds = [1]
+        for p in _prime_support(k):
+            ds += [d * p for d in ds]
+        divisors.append(ds[1:])
+    divisible: dict[int, int] = {}  # d -> bitmask of the kernels d divides
+    large: dict[int, int] = {}  # d -> bitmask of the kernels d is a large divisor of
+    for t, k in enumerate(kernels):
+        for d in divisors[t]:
+            divisible[d] = divisible.get(d, 0) | 1 << t
+            if d * d > abs(k):
+                large[d] = large.get(d, 0) | 1 << t
+    for t, k1 in enumerate(kernels):
+        partners = 0
+        for d in divisors[t]:
+            partners |= large.get(d, 0)
+            if d * d > abs(k1):
+                partners |= divisible[d]
+        partners >>= t + 1
+        u = t
+        while partners:  # the later kernels that may pair with k1, ascending
+            skip = (partners & -partners).bit_length()
+            partners >>= skip
+            u += skip
+            k2 = kernels[u]
+            shared = gcd(k1, k2)
             kp = k1 * k2 // (shared * shared)
-            if kp == 1 or abs(kp) >= max(abs(k1), abs(k2)) or kp in seen:
+            # |kp| < max(|k1|, |k2|) exactly when shared**2 > min(|k1|, |k2|);
+            # kp != 1, since the kernels differ
+            if shared * shared <= min(abs(k1), abs(k2)) or kp in seen:
                 continue
             seen.add(kp)
-            out.append(_multiply(pool[i], pool[j], m, factors))
+            out.append(_multiply(pool[first_row[k1]], pool[first_row[k2]], m, factors))
     return HarvestResult(tuple(out), tuple(factors))
 
 

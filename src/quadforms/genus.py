@@ -147,9 +147,12 @@ def is_characteristic_number(multiplier: int, f: QuadraticForm) -> tuple[bool, F
     h, _ = _crt(parts_h)
     m = abs(d)
     witness = FormSqrtValue(g, h, m, multiplier)
-    assert (g * g - f.a * multiplier) % m == 0
-    assert (g * h - f.b * multiplier) % m == 0
-    assert (h * h - f.c * multiplier) % m == 0
+    if (
+        (g * g - f.a * multiplier) % m
+        or (g * h - f.b * multiplier) % m
+        or (h * h - f.c * multiplier) % m
+    ):
+        raise ArithmeticError(f"({g}, {h}) is not a square root of {multiplier} * {f} mod {m}")
     return True, witness
 
 

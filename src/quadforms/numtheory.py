@@ -231,9 +231,19 @@ def trial_factor(n: int, bound: int = 1000) -> Factorization:
     return Factorization(sign, tuple(factors), cofactor)
 
 
+def _full_bound(n: int) -> int:
+    """Trial-division bound for a complete factorization of n.
+
+    Division stops at p*p > r, and a leftover with no divisor up to its square
+    root is prime, so every bound above sqrt(|n|) gives the same factorization.
+    Rounding up to a power of two keeps primes_upto to a few dozen cache keys.
+    """
+    return 1 << (isqrt(abs(n)) + 1).bit_length()
+
+
 def full_factor(n: int) -> Factorization:
     """Complete factorization by trial division (n of desk scale)."""
-    f = trial_factor(n, isqrt(abs(n)) + 1)
+    f = trial_factor(n, _full_bound(n))
     if f.complete:
         return f
     # the cofactor survived division by everything up to its square root
@@ -254,7 +264,7 @@ def squarefree_part(n: int, bound: int | None = None) -> tuple[int, int]:
     """
     if n == 0:
         raise DomainError("0 has no squarefree part")
-    limit = max(bound if bound is not None else isqrt(abs(n)) + 1, 2)
+    limit = max(bound if bound is not None else _full_bound(n), 2)
     f = trial_factor(n, limit)
     kernel = f.sign
     root = 1

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import json
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadforms.factorizer import (
-    FactorBaseVector,
     FactorConfig,
+    HarvestResult,
+    WitnessedResidue,
     combine,
     factor,
     harvest_from_class_multiples,
@@ -41,15 +42,6 @@ def test_witnessed_residue_construction():
     assert witnessed_residue(325, M, None, "t").kernel == 13
     with pytest.raises(DomainError):
         witnessed_residue(5, 21, 2, "t")
-
-
-def test_factor_base_vector_bits():
-    v = FactorBaseVector.from_residue(witnessed_residue(-6, M, None, "t"), (3, 2))
-    assert (v.bits, v.sign_bit, v.is_zero) == ((1, 1), 1, False)
-    unit = FactorBaseVector.from_residue(witnessed_residue(4, 21, 2, "t"), ())
-    assert unit.is_zero
-    with pytest.raises(DomainError):
-        FactorBaseVector.from_residue(witnessed_residue(-6, M, None, "t"), (3,))
 
 
 def test_seed_form_values():
@@ -150,6 +142,131 @@ def test_combine_on_real_harvest_finds_small_products():
         assert k == r.kernel
         if r.witness is not None:
             assert (r.witness * r.witness - r.raw) % M == 0
+
+
+def reference_multiply(r1, r2, m, factors):
+    """combine's product of two rows as first written, kept as its specification."""
+    shared = gcd(abs(r1.kernel), abs(r2.kernel))
+    raw = r1.kernel * r2.kernel // (shared * shared)
+    witness = None
+    if r1.witness is not None and r2.witness is not None:
+        s = isqrt(r1.raw // r1.kernel) * isqrt(r2.raw // r2.kernel) * shared
+        try:
+            witness = r1.witness * r2.witness * pow(s, -1, m) % m
+        except ValueError:
+            g = gcd(s, m)
+            if 1 < g < m:
+                factors.append(g)
+    if witness is not None and (witness * witness - raw) % m:
+        raise DomainError(f"witness {witness} does not square to {raw} mod {m}")
+    return WitnessedResidue(raw, raw, witness, f"combination({r1.kernel} * {r2.kernel})")
+
+
+def reference_combine(residues, m):
+    """combine as first written: every row operation multiplies, every pair is tried."""
+    factors = []
+    pool = list(residues)
+    base = tuple(
+        sorted({p for r in pool for p, _ in full_factor(abs(r.kernel)).factors}, reverse=True)
+    )
+
+    def mask_of(r):
+        k, bits = abs(r.kernel), 0
+        for i, p in enumerate(base):
+            if k % p == 0:
+                bits |= 1 << i
+                k //= p
+        return bits | (r.kernel < 0) << len(base)
+
+    work = [(mask_of(r), r) for r in pool]
+    used = set()
+    for col in range(len(base) + 1):
+        bit = 1 << col
+        pivot = next((i for i in range(len(work)) if i not in used and work[i][0] & bit), None)
+        if pivot is None:
+            continue
+        used.add(pivot)
+        for i in range(len(work)):
+            if i != pivot and work[i][0] & bit:
+                work[i] = (
+                    work[i][0] ^ work[pivot][0],
+                    reference_multiply(work[i][1], work[pivot][1], m, factors),
+                )
+    out = []
+    seen = set()
+    for _, r in work:
+        if r.kernel != 1 and r.kernel not in seen:
+            seen.add(r.kernel)
+            out.append(r)
+    for i in range(len(pool)):
+        for j in range(i + 1, len(pool)):
+            k1, k2 = pool[i].kernel, pool[j].kernel
+            shared = gcd(abs(k1), abs(k2))
+            if shared == 1:
+                continue
+            kp = k1 * k2 // (shared * shared)
+            if kp == 1 or abs(kp) >= max(abs(k1), abs(k2)) or kp in seen:
+                continue
+            seen.add(kp)
+            out.append(reference_multiply(pool[i], pool[j], m, factors))
+    return HarvestResult(tuple(out), tuple(factors))
+
+
+def combine_outcome(fn, pool, m):
+    try:
+        return fn(pool, m)
+    except DomainError as exc:
+        return ("DomainError", str(exc))
+
+
+# unwitnessed raws: units, small kernels with repeats (3, 12, 75, 147), any small value
+plain_raws = st.one_of(
+    st.sampled_from((1, -1, 4, -9, 2, -2, 3, -3, 6, 12, -12, 30, -30, 75, 147)),
+    st.integers(min_value=-3000, max_value=3000),
+)
+small_ints = st.integers(min_value=-3, max_value=3)
+
+
+@st.composite
+def combine_pools(draw):
+    """(pool, m) in shuffled order, each witness squaring to its raw mod m.
+
+    Witnessed rows have raw w^2 - t*m (a unit at t = 0, negative for t > 0),
+    some with w just off sqrt(t*m), so that raws are small and share primes;
+    unwitnessed rows take plain_raws.  Rows are repeated, or rescaled by c,
+    which keeps the kernel but changes the raw or negates the root.  Small
+    moduli often share a prime with some raw.
+    """
+    m = draw(st.one_of(st.integers(min_value=2, max_value=300), st.sampled_from((91, 210, 1155, M))))
+    pool = []
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        kind = draw(st.sampled_from(("far", "near", "plain")))
+        if kind == "plain":
+            raw, w = draw(plain_raws), None
+        else:
+            t = draw(small_ints)
+            w = draw(st.integers(min_value=0, max_value=600))
+            if kind == "near":
+                t = abs(t)
+                w = max(isqrt(t * m) + draw(small_ints), 0)
+            raw = w * w - t * m
+        if raw:
+            pool.append(witnessed_residue(raw, m, w, kind))
+    for _ in range(draw(st.integers(min_value=0, max_value=6)) if pool else 0):
+        r = draw(st.sampled_from(pool))
+        c = draw(st.sampled_from((1, -1, 2, 3)))
+        w = None if r.witness is None else r.witness * c
+        pool.append(witnessed_residue(r.raw * c * c, m, w, f"{r.provenance}*{c}"))
+    return draw(st.permutations(pool)), m
+
+
+@given(combine_pools())
+@example(([witnessed_residue(147, 91, 28, "t")] * 2, 91))  # a unit row surfaces 7
+@example(([witnessed_residue(147, 91, 28, "t"), witnessed_residue(588, 91, 56, "t")], 91))
+@settings(max_examples=300, deadline=None)
+def test_combine_matches_reference(case):
+    pool, m = case
+    assert combine_outcome(combine, pool, m) == combine_outcome(reference_combine, pool, m)
 
 
 def test_sieve_candidates_goldens():
