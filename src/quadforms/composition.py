@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .forms import QuadraticForm, UnimodularMap, transform
-from .numtheory import DomainError, abs_min_residue, bezout_chain, ext_gcd, full_factor, is_prime
+from .numtheory import DomainError, abs_min_residue, bezout_chain, ext_gcd, is_prime
 from .reduction import reduce_negative
 
 Vector = tuple[int, int, int, int]
@@ -246,39 +246,18 @@ def compose_prime_power(f1: QuadraticForm, f2: QuadraticForm, h: int) -> Quadrat
     return QuadraticForm(a, b, c)
 
 
-def _as_prime_power(n: int) -> tuple[int | None, int] | None:
-    """(prime, exponent) when n is one, (None, 0) for n = 1, None otherwise."""
-    if n < 1:
-        return None
-    if n == 1:
-        return (None, 0)
-    f = full_factor(n)
-    if len(f.factors) == 1 and f.complete:
-        return f.factors[0]
-    return None
-
-
-def _route_compose(g1: QuadraticForm, g2: QuadraticForm) -> QuadraticForm:
-    r1, r2 = _as_prime_power(g1.a), _as_prime_power(g2.a)
-    if r1 is not None and r2 is not None:
-        h = r1[0] if r1[0] is not None else r2[0]
-        if h is not None and (r1[0] is None or r2[0] is None or r1[0] == r2[0]):
-            return compose_prime_power(g1, g2, h)
-    return compose_same_det(g1, g2)
-
-
 def class_multiples(f: QuadraticForm, n_max: int) -> list[tuple[int, QuadraticForm]]:
-    """Reduced representatives of the classes f, f^2, ..., f^n_max (negative det)."""
+    """Canonical reduced forms of the classes f, f^2, ..., f^n_max (negative det, content 1)."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     if f.determinant >= 0:
         raise DomainError("class multiples are implemented for negative determinants")
-    if not f.is_primitive:
-        raise DomainError("class multiples require a primitive form")
+    if f.content != 1:
+        raise DomainError("class multiples require a form of content 1")
     base = reduce_negative(f).result
     out = [(1, base)]
     acc = base
     for n in range(2, n_max + 1):
-        acc = reduce_negative(_route_compose(acc, base)).result
+        acc = reduce_negative(compose_same_det(acc, base)).result
         out.append((n, acc))
     return out

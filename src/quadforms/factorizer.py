@@ -465,12 +465,13 @@ class FactorReport:
 
 
 def _class_seed(m: int, lead: int) -> QuadraticForm | None:
-    """Form (lead, b, c) of determinant -m with the smallest b >= 0, if any."""
+    """Form (lead, b, c) of determinant -m with the smallest b >= 0, if it has content 1."""
     roots = sqrt_mod(-m % lead, lead)
     if not roots:
         return None
     b = roots[0]
-    return QuadraticForm(lead, b, (b * b + m) // lead)
+    seed = QuadraticForm(lead, b, (b * b + m) // lead)
+    return seed if seed.content == 1 else None
 
 
 def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
@@ -548,7 +549,7 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
         if cfg.use_class_multiples:
             seed = _class_seed(r, cfg.class_seed_lead)
             if seed is None:
-                notes.append(f"no class seed with lead {cfg.class_seed_lead} for {r}")
+                notes.append(f"no class seed of content 1 with lead {cfg.class_seed_lead} for {r}")
             else:
                 drain(harvest_from_class_multiples(r, seed, cfg.class_count, cfg.smooth_bound))
         if not pool:

@@ -1,9 +1,10 @@
 """Reduction of binary quadratic forms, reduced-form enumeration, and periods.
 
 Forms are ax^2 + 2bxy + cy^2 with determinant D = b^2 - ac.  For D < 0 every
-form is carried to a unique reduced representative; for D > 0 (non-square) the
-reduced forms split into disjoint cycles ("periods") and two forms are properly
-equivalent exactly when they land in the same period.
+form is carried to the canonical reduced form of its class, so two forms are
+properly equivalent exactly when they reduce to the same tuple; for D > 0
+(non-square) the reduced forms split into disjoint cycles ("periods") and two
+forms are properly equivalent exactly when they land in the same period.
 """
 
 from __future__ import annotations
@@ -82,26 +83,29 @@ def is_reduced_positive(f: QuadraticForm) -> bool:
 
 
 def reduce_negative(f: QuadraticForm) -> ReductionTrace:
-    """Walk contiguous forms until the unique reduced representative appears.
+    """Walk contiguous forms until the canonical reduced form of the class appears.
 
-    Each step replaces (a, b, c) by (c, b1, c1) where b1 = -b mod c with the
-    least absolute value and c1 = (b1^2 - D) / c; the chain's c-coefficients
-    strictly decrease until the stop condition c1 >= c.
+    On the boundary 2|b| = |a| or |a| = |c| the result (or its positive mirror
+    when a < 0) has b >= 0, so it is unique per class.  Each step replaces
+    (a, b, c) by (c, b1, c1) where b1 = -b mod c with the least absolute value,
+    ties toward +c/2, and c1 = (b1^2 - D) / c; the walk stops when c1 > c, or
+    when c1 = c and b1 >= 0.
     """
     d = f.determinant
     if d >= 0:
         raise DomainError("negative determinant required")
-    if is_reduced_negative(f):
-        return ReductionTrace((f,))
     flip = f.a < 0  # negative-definite: reduce the positive mirror, negate back
     current = f.negated() if flip else f
+    a, b, c = current.coefficients()
+    if 2 * abs(b) <= a <= c and (b >= 0 or 2 * abs(b) < a < c):
+        return ReductionTrace((f,))
     chain = [current]
     while True:
         b1 = abs_min_residue(-current.b, current.c)
         c1 = (b1 * b1 - d) // current.c
         nxt = QuadraticForm(current.c, b1, c1)
         chain.append(nxt)
-        if c1 >= current.c:
+        if c1 > current.c or (c1 == current.c and b1 >= 0):
             break
         current = nxt
     if flip:
@@ -216,15 +220,7 @@ def properly_equivalent(f1: QuadraticForm, f2: QuadraticForm) -> bool:
     if d != f2.determinant:
         return False
     if d < 0:
-        r1 = reduce_negative(f1).result
-        r2 = reduce_negative(f2).result
-        if r1 == r2:
-            return True
-        if r1 == r2.opposite():
-            # opposite reduced forms coincide up to an improper substitution;
-            # they are properly equivalent only in the ambiguous cases
-            return 2 * abs(r1.b) == abs(r1.a) or abs(r1.a) == abs(r1.c)
-        return False
+        return reduce_negative(f1).result == reduce_negative(f2).result
     if _is_square(d):
         raise DomainError("square determinants are not supported")
     return reduce_positive(f2).result in period(f1)

@@ -30,6 +30,14 @@ def test_reduce_text(capsys):
     assert lines[-1] == "reduced: 5,-2,7"
 
 
+def test_reduce_returns_canonical_boundary_form(capsys):
+    code, out, err = run(capsys, ["reduce", "--form", "2,-1,43"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "reduced: 2,1,43"
+    code, out, err = run(capsys, ["equivalent", "--form", "3,-1,3", "--form", "3,1,3"])
+    assert code == 0 and out.splitlines() == ["properly equivalent: yes"]
+
+
 def test_reduce_json_envelope(capsys):
     code, blob = run_json(capsys, ["reduce", "--form", "304,217,155"])
     assert code == 0
@@ -165,3 +173,6 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1 and out == "" and err.startswith("error:")
     code, out, err = run(capsys, ["reduce", "--form", "1,1"])
     assert code == 1 and err.startswith("error:")
+    code, out, err = run(capsys, ["class-multiples", "--form", "2,1,2"])
+    assert code == 1 and out == ""
+    assert err.strip() == "error: class multiples require a form of content 1"

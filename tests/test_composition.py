@@ -218,6 +218,10 @@ def test_class_multiples_rejections():
         class_multiples(QuadraticForm(3, 8, -5), 2)
     with pytest.raises(DomainError):
         class_multiples(QuadraticForm(2, 0, 2), 2)
+    # primitive, but of content 2: composition of such classes depends on the
+    # representatives, so their powers are rejected
+    with pytest.raises(DomainError, match="content 1"):
+        class_multiples(QuadraticForm(2, 1, 2), 2)
 
 
 def test_commutative_with_principal_identity_for_two_determinants():

@@ -346,6 +346,16 @@ def test_factor_full_pipeline_sieves_to_127():
     assert len(rep.residues) == 239
 
 
+def test_factor_skips_a_class_seed_of_content_two():
+    # lead 2 and r = 3 (mod 4) give the seed (2, 1, (r + 1) / 2) of content 2
+    m = 1000003 * 1000037
+    rep = factor(m, FactorConfig(use_class_multiples=True, class_seed_lead=2))
+    assert rep.status == "complete"
+    assert rep.factorization.factors == ((1000003, 1), (1000037, 1))
+    assert f"no class seed of content 1 with lead 2 for {m}" in rep.notes
+    assert not any(r.provenance.startswith("class-multiple") for r in rep.residues)
+
+
 def test_factor_small_inputs():
     assert factor(1).factorization.factors == ()
     assert factor(1).status == "complete"

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from math import isqrt
+import random
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadforms.forms import QuadraticForm, transform
-from quadforms.numtheory import DomainError
+from quadforms.forms import QuadraticForm, UnimodularMap, transform
+from quadforms.numtheory import DomainError, ext_gcd
 from quadforms.reduction import (
     enumerate_reduced_negative,
     enumerate_reduced_positive,
@@ -47,6 +48,26 @@ def brute_reduced_negative(d: int) -> set[QuadraticForm]:
             out.add(QuadraticForm(a, b, c))
             out.add(QuadraticForm(-a, b, -c))
     return out
+
+
+def on_boundary(f: QuadraticForm) -> bool:
+    return 2 * abs(f.b) == abs(f.a) or abs(f.a) == abs(f.c)
+
+
+def is_canonical_negative(f: QuadraticForm) -> bool:
+    """Reduced, and on the boundary the positive mirror has b >= 0."""
+    g = f.negated() if f.a < 0 else f
+    return is_reduced_negative(g) and (g.b >= 0 or not on_boundary(g))
+
+
+def random_proper_map(rng: random.Random) -> UnimodularMap:
+    while True:
+        x, y = rng.randint(-20, 20), rng.randint(-20, 20)
+        if gcd(x, y) == 1:
+            break
+    _, u, w = ext_gcd(x, y)  # x*u + y*w = 1
+    k = rng.randint(-5, 5)
+    return UnimodularMap(x, k * x - w, y, u + k * y)
 
 
 def brute_reduced_positive(d: int) -> set[QuadraticForm]:
@@ -117,6 +138,36 @@ def test_reduce_negative_definite_mirror():
     assert reduce_negative(f).result == reduce_negative(f.negated()).result.negated()
 
 
+def test_reduce_negative_canonicalises_boundary_forms():
+    chains = {
+        (2, -1, 43): [(2, -1, 43), (43, 1, 2), (2, 1, 43)],
+        (68, -34, 35): [(68, -34, 35), (35, -1, 35), (35, 1, 35)],
+        (-2, 1, -43): [(-2, 1, -43), (-43, -1, -2), (-2, -1, -43)],
+    }
+    for start, expected in chains.items():
+        f = QuadraticForm(*start)
+        trace = reduce_negative(f)
+        assert [g.coefficients() for g in trace.chain] == expected
+        t = trace.transformation
+        assert t.determinant == 1
+        assert transform(f, t) == trace.result
+
+
+def test_reduce_negative_is_canonical_on_every_reduced_form():
+    rng = random.Random(20210)
+    for d in range(-300, 0):
+        for g in enumerate_reduced_negative(d):
+            canonical = reduce_negative(g).result
+            assert is_canonical_negative(canonical), g
+            # a reduced form and its opposite share a class exactly when the
+            # form is ambiguous: b = 0 or on the boundary
+            same = reduce_negative(g.opposite()).result == canonical
+            assert same == (g.b == 0 or on_boundary(g)), g
+            for _ in range(3):
+                image = transform(g, random_proper_map(rng))
+                assert reduce_negative(image).result == canonical, (g, image)
+
+
 def test_reduce_negative_rejects_degenerate():
     with pytest.raises(DomainError):
         reduce_negative(QuadraticForm(0, 2, 5))
@@ -151,14 +202,20 @@ def test_reduce_positive_rejects_square_determinant():
 
 
 @given(negative_det_forms)
+@example(QuadraticForm(68, -34, 35))
 @settings(max_examples=150)
 def test_reduce_negative_invariants(f):
     trace = reduce_negative(f)
-    # the walk a1 = c0, a2, ... shrinks strictly; the input's own a is not part of it
-    sizes = [abs(g.a) for g in trace.chain[1:]]
+    # the walk a1 = c0, a2, ... shrinks strictly; the input's own a is not part
+    # of it, and one last step may turn (a, b, a) into the canonical (a, -b, a)
+    walk = trace.chain[1:]
+    if len(walk) > 1 and walk[-1] == walk[-2].opposite() and walk[-1].a == walk[-1].c:
+        walk = walk[:-1]
+    sizes = [abs(g.a) for g in walk]
     assert all(x > y for x, y in zip(sizes, sizes[1:]))
     result = trace.result
     assert is_reduced_negative(result)
+    assert is_canonical_negative(result)
     assert 3 * result.a * result.a <= -4 * f.determinant
     t = trace.transformation
     assert t.determinant == 1
