@@ -4,11 +4,15 @@ Every residue collected here is a small number r with x^2 = r (mod M) for
 some known or deducible x.  Three harvests produce them: leading coefficients
 along the period of (1, floor(sqrt(kM)), ...), smooth values of k*x^2 - M near
 sqrt(M/k), and outer coefficients of reduced powers of a class of determinant
--kM.  Squarefree kernels of the residues are combined over GF(2) to shrink
-the generating set, then every odd prime p <= limit with no kernel a
-non-residue mod p survives the sieve; true prime factors of M always survive,
-so trial division over the survivors (and recursion on the quotient) finishes
-the job.
+-kM.  A raw value sharing a prime with M splits it by a gcd; otherwise every
+odd prime p <= limit for which no kernel is a non-residue mod p survives the
+sieve.  True prime factors of M always survive, so trial division over the
+survivors (and recursion on the quotient) finishes the job.
+
+The Jacobi symbol is multiplicative, so a product of kernels can exclude a
+prime its factors let through only when that prime divides one of them, and
+never a prime of M: combine's GF(2) elimination could at most remove
+pseudo-survivors from the sieve, so it is not a stage of factor.
 """
 
 from __future__ import annotations
@@ -208,11 +212,11 @@ def _multiply(
 
 
 def combine(residues: list[WitnessedResidue] | tuple[WitnessedResidue, ...], m: int) -> HarvestResult:
-    """Gauss-Jordan over GF(2) on kernel exponent vectors, plus shared-prime products.
+    """Gauss-Jordan over GF(2) on kernel exponent vectors.
 
     Returns an independent generating set for the kernels (unit kernels are
-    dropped) together with products of input pairs sharing a prime; any factor
-    of m uncovered while dividing witnesses comes back in the factor channel.
+    dropped); any factor of m uncovered while dividing witnesses comes back
+    in the factor channel.
 
     The elimination runs on int masks (one bit per prime, largest prime
     first, then the sign) and records its row operations; residues are then
@@ -257,50 +261,6 @@ def combine(residues: list[WitnessedResidue] | tuple[WitnessedResidue, ...], m: 
         if v and r.kernel not in seen:
             seen.add(r.kernel)
             out.append(r)
-    # pairwise products that eliminate shared primes and genuinely shrink.  A
-    # repeated kernel repeats the products of its first row, so only the first
-    # rows of distinct kernels pair up.  The shared part of a kept pair is a
-    # divisor d of the smaller kernel k with d * d > |k|, a large divisor, so a
-    # kernel pairs only with those divisible by one of its large divisors and
-    # those with a large divisor dividing it.
-    first_row: dict[int, int] = {}
-    for i, r in enumerate(pool):
-        first_row.setdefault(r.kernel, i)
-    kernels = list(first_row)
-    divisors: list[list[int]] = []  # the divisors d > 1 of each kernel
-    for k in kernels:
-        ds = [1]
-        for p in _prime_support(k):
-            ds += [d * p for d in ds]
-        divisors.append(ds[1:])
-    divisible: dict[int, int] = {}  # d -> bitmask of the kernels d divides
-    large: dict[int, int] = {}  # d -> bitmask of the kernels d is a large divisor of
-    for t, k in enumerate(kernels):
-        for d in divisors[t]:
-            divisible[d] = divisible.get(d, 0) | 1 << t
-            if d * d > abs(k):
-                large[d] = large.get(d, 0) | 1 << t
-    for t, k1 in enumerate(kernels):
-        partners = 0
-        for d in divisors[t]:
-            partners |= large.get(d, 0)
-            if d * d > abs(k1):
-                partners |= divisible[d]
-        partners >>= t + 1
-        u = t
-        while partners:  # the later kernels that may pair with k1, ascending
-            skip = (partners & -partners).bit_length()
-            partners >>= skip
-            u += skip
-            k2 = kernels[u]
-            shared = gcd(k1, k2)
-            kp = k1 * k2 // (shared * shared)
-            # |kp| < max(|k1|, |k2|) exactly when shared**2 > min(|k1|, |k2|);
-            # kp != 1, since the kernels differ
-            if shared * shared <= min(abs(k1), abs(k2)) or kp in seen:
-                continue
-            seen.add(kp)
-            out.append(_multiply(pool[first_row[k1]], pool[first_row[k2]], m, factors))
     return HarvestResult(tuple(out), tuple(factors))
 
 
@@ -478,10 +438,11 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
     """Factor a positive integer via the quadratic-residue pipeline.
 
     Small primes are stripped by trial division; prime and perfect-power
-    leftovers are dispatched directly.  Anything else goes through harvest,
-    combine, and sieve, and the quotient by any survivor that divides is
-    recursed on.  If no survivor divides, the report comes back partial with
-    the untouched cofactor and the sieve survivors on display.
+    leftovers are dispatched directly.  Anything else is harvested; a proper
+    gcd of a harvested raw value with it splits it, and otherwise the pool is
+    sieved and the quotient by any survivor that divides is recursed on.  If
+    no survivor divides, or a leftover is too large for is_prime to decide,
+    the report comes back partial with the untouched cofactor and a note.
     """
     if m < 1:
         raise DomainError("m must be positive")
@@ -497,13 +458,20 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
         found[p] = found.get(p, 0) + e
 
     def crack(n: int, mult: int) -> None:
+        nonlocal leftover
         f = trial_factor(n, cfg.trial_bound)
         for p, e in f.factors:
             add(p, e * mult)
         r = f.cofactor
         if r == 1:
             return
-        if is_prime(r):
+        try:
+            prime = is_prime(r)
+        except DomainError as exc:  # too large to prove either way
+            notes.append(str(exc))
+            leftover *= r**mult
+            return
+        if prime:
             add(r, mult)
             return
         for e in range(2, r.bit_length() + 1):
@@ -556,7 +524,8 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
             notes.append(f"no residues harvested for {r}")
             leftover *= r**mult
             return
-        g = drain(combine(pool[:], r))
+        # a raw sharing a prime with r splits it directly
+        g = next((d for x in pool if 1 < (d := gcd(x.raw, r)) < r), None)
         if g is not None:
             crack(g, mult)
             crack(r // g, mult)

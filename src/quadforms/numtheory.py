@@ -138,13 +138,14 @@ _TRIAL_DIVISION_BELOW = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    """Primality, proven: deterministic Miller-Rabin, with trial division at both ends.
+    """Primality, proven: deterministic Miller-Rabin, with trial division below 2**16.
 
     From 2**16 up to the last bound of _MR_PROOF_BOUNDS (about 3.3e24) the
     strong test to the smallest sufficient set of prime bases decides.  Below
-    2**16, trial division up to sqrt(n) is faster; above the last bound, n
-    must pass all 13 bases and then trial division, so a True is never
-    probabilistic.
+    2**16, trial division up to sqrt(n) is faster.  At or above the last
+    bound, a composite that fails one of the 13 bases gives False, and any
+    other n raises DomainError naming the bound, so a True is never
+    probabilistic and no call runs unbounded trial division.
     """
     if n <= _MR_BASES[-1]:
         return n in _MR_BASES
@@ -167,8 +168,9 @@ def is_prime(n: int) -> bool:
                     break
             else:
                 return False
-        if n < bound:
-            return True
+        if n >= bound:
+            raise DomainError(f"primality is proven only below {bound}; {n} passes all 13 bases")
+        return True
     d = 43  # the primes up to 41 were ruled out above
     while d * d <= n:
         if n % d == 0 or n % (d + 4) == 0:
@@ -251,8 +253,27 @@ def full_factor(n: int) -> Factorization:
 
 
 def is_smooth(n: int, bound: int) -> bool:
-    """True iff every prime factor of n is <= bound (n nonzero)."""
-    return trial_factor(n, bound).complete
+    """True iff every prime factor of n is <= bound (n nonzero).
+
+    trial_factor(n, bound).complete without building the Factorization.  The
+    answer is known once the leftover r is at most bound (its prime factors
+    are at most r) or once p*p > r (r is then 1 or a prime).
+    """
+    if n == 0:
+        raise DomainError("0 has no factorization")
+    if bound < 2:
+        raise DomainError("trial division bound must be at least 2")
+    r = abs(n)
+    for p in primes_upto(bound):
+        if p * p > r:
+            break
+        if r % p == 0:
+            r //= p
+            while r % p == 0:
+                r //= p
+            if r <= bound:
+                return True
+    return r <= bound
 
 
 def squarefree_part(n: int, bound: int | None = None) -> tuple[int, int]:

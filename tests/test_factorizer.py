@@ -135,7 +135,7 @@ def test_combine_on_real_harvest_finds_small_products():
     )
     got = combine(pool, M)
     kernels = {r.kernel for r in got.residues}
-    assert -55 in kernels  # 325 and -715 share the prime 13
+    assert -55 in kernels  # -715 reduced by the kernel 13 of 325
     for r in got.residues:
         assert abs(r.kernel) != 1
         k, _ = squarefree_part(r.kernel)
@@ -163,7 +163,7 @@ def reference_multiply(r1, r2, m, factors):
 
 
 def reference_combine(residues, m):
-    """combine as first written: every row operation multiplies, every pair is tried."""
+    """combine's elimination as first written: every row operation multiplies."""
     factors = []
     pool = list(residues)
     base = tuple(
@@ -198,17 +198,6 @@ def reference_combine(residues, m):
         if r.kernel != 1 and r.kernel not in seen:
             seen.add(r.kernel)
             out.append(r)
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            k1, k2 = pool[i].kernel, pool[j].kernel
-            shared = gcd(abs(k1), abs(k2))
-            if shared == 1:
-                continue
-            kp = k1 * k2 // (shared * shared)
-            if kp == 1 or abs(kp) >= max(abs(k1), abs(k2)) or kp in seen:
-                continue
-            seen.add(kp)
-            out.append(reference_multiply(pool[i], pool[j], m, factors))
     return HarvestResult(tuple(out), tuple(factors))
 
 
@@ -343,7 +332,49 @@ def test_factor_full_pipeline_sieves_to_127():
     assert rep.factorization.factors == ((127, 1), (7853, 1))
     assert rep.survivors == (127,)
     assert rep.pseudo_survivors == ()
-    assert len(rep.residues) == 239
+    assert len(rep.residues) == 73
+
+
+SHARED_PRIME_CONFIG = FactorConfig(trial_bound=2, period_steps=3, window=5, smooth_bound=50)
+
+
+def test_factor_splits_on_a_raw_sharing_a_prime():
+    # the near-square scan harvests 414 = 2 * 3^2 * 23, and 851 = 23 * 37
+    rep = factor(851, SHARED_PRIME_CONFIG)
+    assert 414 in [r.raw for r in rep.residues]
+    assert rep.status == "complete"
+    assert rep.factorization.factors == ((23, 1), (37, 1))
+    assert rep.survivors == ()
+
+
+@given(
+    st.integers(min_value=2, max_value=3 * 10**4 - 1),
+    st.sampled_from(
+        (
+            FactorConfig(trial_bound=2),
+            FactorConfig(trial_bound=5, smooth_bound=200, use_class_multiples=True),
+            SHARED_PRIME_CONFIG,
+        )
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_factor_completes_when_raws_share_primes(m, cfg):
+    # small trial bounds leave r with small primes that harvested raws share
+    rep = factor(m, cfg)
+    assert rep.status == "complete"
+    assert rep.factorization.value() == m
+    assert rep.factorization.factors == full_factor(m).factors
+
+
+def test_factor_notes_a_cofactor_beyond_the_primality_bound():
+    rep = factor(2**89 - 1)
+    assert rep.status == "partial"
+    assert rep.factorization.factors == ()
+    assert rep.factorization.cofactor == 2**89 - 1
+    assert rep.notes == (
+        "primality is proven only below 3317044064679887385961981; "
+        "618970019642690137449562111 passes all 13 bases",
+    )
 
 
 def test_factor_skips_a_class_seed_of_content_two():

@@ -6,7 +6,7 @@ import time
 from math import gcd, isqrt, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadforms.numtheory import (
@@ -171,6 +171,19 @@ def test_is_prime_mersenne_61_is_fast():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_is_prime_refuses_beyond_the_proof_bound():
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="proven only below 3317044064679887385961981"):
+        is_prime(2**89 - 1)
+    assert time.perf_counter() - t0 < 1.0
+    # 1287836182261 * 2575672364521, a strong pseudoprime to all 13 bases
+    with pytest.raises(DomainError, match="proven only below 3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
+    # just below the bound, and a composite above it that fails a base, are decided
+    assert is_prime(3317044064679887385961981 - 168)
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
+
+
 def test_trial_factor_pinned_values():
     f = trial_factor(-715, 100)
     assert (f.sign, f.factors, f.cofactor) == (-1, ((5, 1), (11, 1), (13, 1)), 1)
@@ -227,6 +240,45 @@ def test_is_smooth():
     assert not is_smooth(721, 5)  # 7 * 103
     assert is_smooth(-102, 17)
     assert not is_smooth(-102, 13)
+    with pytest.raises(DomainError):
+        is_smooth(0, 100)
+    with pytest.raises(DomainError):
+        is_smooth(12, 1)
+
+
+def next_prime(n: int) -> int:
+    """Smallest prime > n."""
+    n += 1
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@st.composite
+def smoothness_cases(draw):
+    """(n, bound): a signed product of primes <= bound, an arbitrary factor,
+    and bound itself, the prime q just above bound, q^2 or q times the next prime."""
+    bound = draw(st.one_of(st.sampled_from((2, 3, 10, 100, 1000)), st.integers(min_value=2, max_value=2000)))
+    q = next_prime(bound)
+    smooth = prod(draw(st.lists(st.sampled_from(primes_upto(bound)), max_size=8)))
+    other = draw(st.one_of(st.just(1), st.integers(min_value=1, max_value=10**6)))
+    edge = draw(st.sampled_from((1, bound, q, q * q, q * next_prime(q))))
+    sign = draw(st.sampled_from((1, -1)))
+    return sign * smooth * other * edge, bound
+
+
+@given(smoothness_cases())
+@example((1, 2))
+@example((-1, 2))
+@example((-8, 2))
+@example((9, 2))
+@example((121, 10))  # 11^2, the prime just above bound squared
+@example((-11 * 8, 10))
+@example((10, 10))
+@settings(max_examples=300)
+def test_is_smooth_matches_trial_factor(case):
+    n, bound = case
+    assert is_smooth(n, bound) == trial_factor(n, bound).complete
 
 
 # --- squarefree_part ---
