@@ -9,6 +9,7 @@ classes; forms of equal determinant and equal character share a genus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .forms import QuadraticForm
@@ -56,6 +57,16 @@ def _crt(pairs: list[tuple[int, int]]) -> tuple[int, int]:
     return x % m, m
 
 
+@lru_cache(maxsize=64)
+def _prime_powers(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, p**e) for each prime power p**e exactly dividing n > 0, p ascending.
+
+    Callers work through the forms of one determinant at a time, so a few
+    entries let |D| be factored once per determinant instead of once per form.
+    """
+    return tuple((p, p**e) for p, e in full_factor(n).factors)
+
+
 def character(f: QuadraticForm) -> CharacterProfile:
     """Complete character of a primitive form of nonzero determinant."""
     if not f.is_primitive:
@@ -64,7 +75,7 @@ def character(f: QuadraticForm) -> CharacterProfile:
     if d == 0:
         raise DomainError("zero determinant has no character")
     entries = []
-    for p, _ in full_factor(abs(d)).factors:
+    for p, _ in _prime_powers(abs(d)):
         if p == 2:
             continue
         # primitivity guarantees one of a, c is coprime to p
@@ -92,21 +103,22 @@ def same_genus(f1: QuadraticForm, f2: QuadraticForm) -> bool:
 
 
 def sqrt_of_form(f: QuadraticForm, multiplier: int, modulus: int) -> tuple[FormSqrtValue, ...]:
-    """All (g, h) mod modulus solving g^2=aM, gh=bM, h^2=cM, lexicographic."""
+    """All (g, h) mod modulus solving g^2=aM, gh=bM, h^2=cM, lexicographic.
+
+    g and h run in ascending order over the roots sqrt_mod gives for aM and
+    cM, and the pairs with gh = bM are kept.
+    """
     if modulus < 1:
         raise DomainError("modulus must be positive")
     if gcd(multiplier, modulus) != 1:
         raise DomainError("multiplier must be coprime to the modulus")
-    am = f.a * multiplier % modulus
     bm = f.b * multiplier % modulus
-    cm = f.c * multiplier % modulus
+    hs = sqrt_mod(f.c * multiplier, modulus)
     return tuple(
         FormSqrtValue(g, h, modulus, multiplier)
-        for g in range(modulus)
-        for h in range(modulus)
-        if (g * g - am) % modulus == 0
-        and (g * h - bm) % modulus == 0
-        and (h * h - cm) % modulus == 0
+        for g in sqrt_mod(f.a * multiplier, modulus)
+        for h in hs
+        if (g * h - bm) % modulus == 0
     )
 
 
@@ -127,8 +139,7 @@ def is_characteristic_number(multiplier: int, f: QuadraticForm) -> tuple[bool, F
         raise DomainError("multiplier must be coprime to the determinant")
     parts_g: list[tuple[int, int]] = []
     parts_h: list[tuple[int, int]] = []
-    for p, e in full_factor(abs(d)).factors:
-        pk = p**e
+    for p, pk in _prime_powers(abs(d)):
         if f.a % p:
             roots = sqrt_mod(f.a * multiplier % pk, pk)
             if not roots:

@@ -95,12 +95,144 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+# sqrt_mod splits its modulus by trial division over the primes up to this
+# cap; a leftover must then be below its square or a proven prime.
+_SQRT_MOD_TRIAL_CAP = 1 << 16
+
+
 def sqrt_mod(a: int, m: int) -> tuple[int, ...]:
-    """All x in [0, m) with x*x ≡ a (mod m), ascending. Exhaustive scan, O(m)."""
+    """All x in [0, m) with x*x ≡ a (mod m), in ascending order, as a tuple.
+
+    Method (Cohen, A Course in Computational Algebraic Number Theory, 1.5):
+    split m into prime powers p**k by trial division, solve each part and
+    glue the root sets by CRT.  For odd p not dividing a, Tonelli-Shanks
+    gives a root mod p (pow(a, (p+1)/4, p) when p ≡ 3 mod 4) and Hensel
+    lifting carries it to p**k; a unit mod 2**k has 1, 2 or 4 roots; when
+    p | a, a = p**j * u with j even is solved through y*y ≡ u (mod p**(k-j)).
+
+    Size cap: trial division runs over the primes up to 2**16 at most (up
+    to the power of two above sqrt(m) when that is smaller, which keeps
+    primes_upto to a few cache keys).  The leftover is accepted when it is
+    below 2**32 (it is then prime) or when is_prime proves it prime; any
+    other modulus raises DomainError naming the cap, so no modulus is ever
+    scanned.
+    """
     if m < 1:
         raise DomainError("modulus must be positive")
     a %= m
-    return tuple(x for x in range(m) if (x * x - a) % m == 0)
+    roots = [0]
+    done = 1  # roots holds every root mod done, the part of m solved so far
+    r = m
+    bound = min(_full_bound(m), _SQRT_MOD_TRIAL_CAP)
+    for p in primes_upto(bound):
+        if p * p > r:
+            break
+        if r % p == 0:
+            pk = p
+            r //= p
+            while r % p == 0:
+                r //= p
+                pk *= p
+            roots = _crt_roots(roots, done, _sqrt_mod_prime_power(a % pk, p, pk), pk)
+            if not roots:
+                return ()
+            done *= pk
+    else:  # no prime up to bound divides r, so r is prime if below bound**2
+        try:
+            proven = r < bound * bound or is_prime(r)
+        except DomainError:  # beyond the proof bound of is_prime
+            proven = False
+        if not proven:
+            raise DomainError(
+                f"sqrt_mod factors its modulus by trial division up to {_SQRT_MOD_TRIAL_CAP}; "
+                f"{m} leaves {r}, which is at least {_SQRT_MOD_TRIAL_CAP}**2 and not a proven prime"
+            )
+    if r > 1:
+        roots = _crt_roots(roots, done, _sqrt_mod_prime_power(a % r, r, r), r)
+    return tuple(sorted(roots))
+
+
+def _crt_roots(xs: list[int], m: int, ys: tuple[int, ...], n: int) -> list[int]:
+    """Every z mod m*n with z ≡ x (mod m), z ≡ y (mod n), for coprime m, n."""
+    if m == 1:
+        return list(ys)
+    inv = pow(m, -1, n)
+    return [x + m * ((y - x) * inv % n) for x in xs for y in ys]
+
+
+def _sqrt_mod_prime_power(a: int, p: int, pk: int) -> tuple[int, ...]:
+    """The roots of x*x ≡ a (mod pk), in any order, for pk = p**k and 0 <= a < pk."""
+    if a == 0:  # x*x ≡ 0 iff p**ceil(k/2) divides x
+        step = p
+        while step * step % pk:
+            step *= p
+        return tuple(range(0, pk, step))
+    if a % p:
+        return _sqrt_mod_unit(a, p, pk)
+    # a = p**j * u with 0 < j < k and p ∤ u: x = p**(j/2) * y, y*y ≡ u (mod p**(k-j))
+    pj = p
+    while a % (pj * p) == 0:
+        pj *= p
+    half = isqrt(pj)
+    if half * half != pj:  # j odd
+        return ()
+    q = pk // pj
+    ys = _sqrt_mod_unit(a // pj % q, p, q)
+    # y is needed mod p**(k - j/2) = q * half, so each root y0 mod q has half lifts
+    return tuple(half * (y + t * q) for y in ys for t in range(half))
+
+
+def _sqrt_mod_unit(a: int, p: int, pk: int) -> tuple[int, ...]:
+    """The roots of x*x ≡ a (mod pk), in any order, for pk = p**k and a unit a."""
+    if p == 2:
+        if pk <= 4:
+            return tuple(x for x in range(1, pk, 2) if x * x % pk == a)
+        if a % 8 != 1:
+            return ()
+        # lift x*x ≡ a one bit at a time, from mod 8 up to mod pk
+        x, bit = 1, 4
+        while bit < pk // 2:
+            if (x * x - a) % (bit * 4):
+                x += bit
+            bit *= 2
+        h = pk // 2
+        return x, pk - x, (x + h) % pk, (h - x) % pk
+    x = _sqrt_mod_prime(a % p, p)
+    if x is None:
+        return ()
+    # Newton's step x -= (x*x - a) / (2x) doubles the p-adic precision
+    precision = p
+    while precision < pk:
+        precision = min(precision * precision, pk)
+        x = (x - (x * x - a) * pow(2 * x, -1, precision)) % precision
+    return x, pk - x
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A root of x*x ≡ a (mod p) for an odd prime p and 0 < a < p, or None."""
+    if p % 4 == 3:
+        x = pow(a, (p + 1) // 4, p)
+        return x if x * x % p == a else None
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    # Tonelli-Shanks: p - 1 = q * 2**s with q odd, z a non-residue
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, x = t * c % p, x * b % p
+    return x
 
 
 @lru_cache(maxsize=32)

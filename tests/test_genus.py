@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadforms import genus
 from quadforms.forms import QuadraticForm, UnimodularMap, transform
 from quadforms.genus import (
     CharacterProfile,
@@ -18,7 +19,7 @@ from quadforms.genus import (
     sqrt_of_form,
 )
 from quadforms.numtheory import DomainError, full_factor, jacobi
-from quadforms.reduction import enumerate_reduced_negative, period
+from quadforms.reduction import enumerate_reduced_negative, enumerate_reduced_positive, period
 
 coeff = st.integers(min_value=-40, max_value=40)
 primitive_forms = (
@@ -182,6 +183,40 @@ def test_sqrt_of_form_solutions_verify_and_sort():
         assert (v.h * v.h - f.c * v.multiplier) % v.modulus == 0
 
 
+def double_scan_sqrt_of_form(f: QuadraticForm, multiplier: int, modulus: int) -> tuple:
+    # the former sqrt_of_form, kept as the reference: every pair (g, h) is
+    # tested, with the test on g alone made once before the loop over h
+    am = f.a * multiplier % modulus
+    bm = f.b * multiplier % modulus
+    cm = f.c * multiplier % modulus
+    return tuple(
+        (g, h)
+        for g in range(modulus)
+        if (g * g - am) % modulus == 0
+        for h in range(modulus)
+        if (g * h - bm) % modulus == 0 and (h * h - cm) % modulus == 0
+    )
+
+
+def test_sqrt_of_form_matches_the_double_scan():
+    forms = (
+        QuadraticForm(3, 1, 54),
+        QuadraticForm(20, 10, 27),
+        QuadraticForm(-7, 3, 12),
+        QuadraticForm(1, 0, 85),
+        QuadraticForm(4, 2, 6),
+    )
+    for f in forms:
+        for modulus in range(1, 61):
+            for multiplier in range(1, modulus + 1):
+                if gcd(multiplier, modulus) != 1:
+                    continue
+                values = sqrt_of_form(f, multiplier, modulus)
+                assert all(v.modulus == modulus and v.multiplier == multiplier for v in values)
+                pairs = tuple((v.g, v.h) for v in values)
+                assert pairs == double_scan_sqrt_of_form(f, multiplier, modulus), (f, multiplier, modulus)
+
+
 # --- characteristic numbers ---
 
 
@@ -230,6 +265,34 @@ def test_characteristic_construction_agrees_with_exhaustive_search():
             assert ok == bool(sqrt_of_form(f, m, d)), (f, m)
             if ok:
                 assert witness.modulus == d and witness.multiplier == m
+
+
+def test_cached_prime_powers_agree_with_the_uncached_path(monkeypatch):
+    # determinants with repeated, large and even prime powers, of both signs;
+    # each is visited three times, interleaved, so later rounds hit the cache
+    dets = (-85, -440, -1701, -4100, 85, 440, 1155)
+    forms = []
+    for d in dets:
+        reduced = enumerate_reduced_negative(d) if d < 0 else enumerate_reduced_positive(d)
+        forms += [f for f in reduced if f.is_primitive]
+
+    def profiles() -> list:
+        out = []
+        for f in forms:
+            d = abs(f.determinant)
+            chars = [is_characteristic_number(m, f) for m in range(1, 10) if gcd(m, d) == 1]
+            out.append((character(f), chars))
+        return out
+
+    cached = [profiles() for _ in range(3)]
+    assert genus._prime_powers.cache_info().hits > 0
+    monkeypatch.setattr(genus, "_prime_powers", genus._prime_powers.__wrapped__)
+    uncached = profiles()
+    assert all(rounds == uncached for rounds in cached)
+    for d in dets:
+        n = abs(d)
+        expected = tuple((p, p**e) for p, e in full_factor(n).factors)
+        assert genus._prime_powers(n) == expected
 
 
 def test_characteristic_products_land_in_the_principal_set():

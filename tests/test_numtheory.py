@@ -149,6 +149,64 @@ def test_sqrt_mod_is_exhaustive_and_sorted(a, m):
     assert roots == sorted(x for x in range(m) if (x * x - a) % m == 0)
 
 
+def test_sqrt_mod_matches_a_squares_table_below_512():
+    for m in range(1, 512):
+        table: dict[int, list[int]] = {}
+        for x in range(m):
+            table.setdefault(x * x % m, []).append(x)
+        for a in range(m):
+            assert sqrt_mod(a, m) == tuple(table.get(a, ())), (a, m)
+
+
+_ODD_PRIMES = primes_upto(300)[1:]
+
+
+@st.composite
+def moduli_with_p_adic_residues(draw):
+    """(a, m): m = p**k or 2**i * p**k * q up to 2**16, a divisible by a power of p."""
+    p = draw(st.sampled_from(_ODD_PRIMES))
+    if draw(st.booleans()):
+        top = 1
+        while p ** (top + 1) <= 1 << 16:
+            top += 1
+        k = draw(st.integers(min_value=1, max_value=top))
+        m = p**k
+    else:
+        i = draw(st.integers(min_value=0, max_value=6))  # leaves room for q >= 3
+        top = 1
+        while (2**i) * p ** (top + 1) * 3 <= 1 << 16:
+            top += 1
+        k = draw(st.integers(min_value=1, max_value=top))
+        room = (1 << 16) // (2**i * p**k)
+        q = draw(st.sampled_from([q for q in _ODD_PRIMES if q <= room]))
+        m = 2**i * p**k * q
+    e = draw(st.integers(min_value=0, max_value=k + 1))
+    u = draw(st.integers(min_value=0, max_value=m - 1))
+    return p**e * u % m, m
+
+
+@given(moduli_with_p_adic_residues())
+@settings(max_examples=60)
+@example((0, 3**10))
+@example((3**4 * 2, 3**10))
+@example((3**3 * 7, 3**10))
+@example((2**6 * 17, 2**8 * 5**2 * 7))
+def test_sqrt_mod_on_prime_powers_and_products(case):
+    a, m = case
+    assert sqrt_mod(a, m) == tuple(x for x in range(m) if x * x % m == a)
+
+
+def test_sqrt_mod_refuses_a_modulus_beyond_the_cap():
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="trial division up to 65536; 1000036000099 leaves"):
+        sqrt_mod(2, 1000003 * 1000033)
+    # a prime leftover is solved, by pow(a, (p+1)/4, p) since 2**61 - 1 ≡ 3 (mod 4)
+    assert sqrt_mod(4, 2**61 - 1) == (2, 2**61 - 3)
+    big = 2**61 - 1
+    assert sqrt_mod(4, 3 * big) == (2, big - 2, 2 * big + 2, 3 * big - 2)
+    assert time.perf_counter() - t0 < 1.0
+
+
 # --- primality / trial division ---
 
 
