@@ -1,13 +1,15 @@
 """Composition of binary quadratic forms.
 
-compose_general implements the full bilinear-substitution construction: it
-builds the 4x4 antisymmetric matrix of coefficient products, derives the
-substitution rows p, q from a seed vector and a Bezout certificate, and reads
-the composed form off the closing relations.  compose_same_det is the fast
-path for equal determinants (a CRT on the middle coefficient), and
-compose_prime_power handles the special case where both leading coefficients
-are powers of a common prime.  class_multiples iterates composition of a
-class with itself, reducing after every step.
+compose_same_det composes forms of one determinant by Dirichlet's united
+form: one extended gcd of a1, a2 and b1 + b2 and an integer formula for the
+middle coefficient (Cohen, A Course in Computational Algebraic Number
+Theory, 5.4).  On forms of content 1 it is the group law on classes.
+class_multiples iterates it on a class, reducing after every step.  Two constructions of the paper stay alongside it:
+compose_general, the full bilinear substitution (the 4x4 antisymmetric
+matrix of coefficient products, substitution rows p, q from a seed vector
+and a Bezout certificate, the composed form read off the closing relations),
+which also composes forms whose determinants differ by a square factor; and
+compose_prime_power, for leading coefficients that are powers of one prime.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .forms import QuadraticForm, UnimodularMap, transform
-from .numtheory import DomainError, abs_min_residue, bezout_chain, ext_gcd, is_prime
+from .forms import QuadraticForm
+from .numtheory import DomainError, abs_min_residue, bezout_chain, is_prime
 from .reduction import reduce_negative
 
 Vector = tuple[int, int, int, int]
@@ -138,30 +140,15 @@ def compose_general(
     return form, BilinearSubstitution(p, q, n1, n2, m1, m2)
 
 
-def _coprime_lead_equivalent(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
-    """A form properly equivalent to f2 whose lead gives coprime CRT moduli with f1."""
-    for span in (4, 8, 16):
-        for x in range(0, span + 1):
-            for y in range(-span, span + 1):
-                if gcd(x, y) != 1:
-                    continue
-                _, u, w = ext_gcd(x, y)
-                g2 = transform(f2, UnimodularMap(x, -w, y, u))
-                if g2.a == 0:
-                    continue
-                mu = gcd(f1.a, g2.a, f1.b + g2.b)
-                if gcd(f1.a // mu, g2.a // mu) == 1:
-                    return g2
-    raise DomainError("no equivalent form with a compatible lead was found")
-
-
 def compose_same_det(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
-    """Compose primitive forms of one determinant via CRT on the middle coefficient.
+    """Compose primitive forms of one determinant D by Dirichlet's united form.
 
-    With mu = gcd(a1, a2, b1 + b2) and A = a1*a2/mu^2, the composed middle
-    coefficient is the unique B in [0, |A|) with B = b1 (mod a1/mu) and
-    B = b2 (mod a2/mu); the fast path needs a1/mu, a2/mu coprime and falls
-    back to compose_general otherwise.
+    With e = gcd(a1, a2, b1 + b2) = u*a1 + v*a2 + w*(b1 + b2), the composite
+    is (A, B, C) with A = a1*a2/e^2, B = (u*a1*b2 + v*a2*b1 + w*(b1*b2 + D))/e
+    reduced into [0, |A|) and C = (B^2 - D)/A (Cohen, A Course in
+    Computational Algebraic Number Theory, 5.4, in the b^2 - ac convention).
+    B = b1 (mod a1/e) and B = b2 (mod a2/e), and for forms of content 1 the
+    class of the composite depends only on the classes of f1 and f2.
     """
     d = f1.determinant
     if d != f2.determinant:
@@ -172,25 +159,13 @@ def compose_same_det(f1: QuadraticForm, f2: QuadraticForm) -> QuadraticForm:
         raise DomainError("leading coefficients must be nonzero")
     if not (f1.is_primitive and f2.is_primitive):
         raise DomainError("composition requires primitive forms")
-    mu = gcd(f1.a, f2.a, f1.b + f2.b)
-    a1, a2 = f1.a // mu, f2.a // mu
-    if gcd(a1, a2) != 1:
-        if gcd(f1.content, f2.content) > 1:
-            # the general construction would land at determinant 4D for a
-            # pair of even content; swap in an equivalent second form whose
-            # lead restores coprime CRT moduli
-            return compose_same_det(f1, _coprime_lead_equivalent(f1, f2))
-        return compose_general(f1, f2)[0]
+    e, (u, v, w) = bezout_chain((f1.a, f2.a, f1.b + f2.b))
+    a1, a2 = f1.a // e, f2.a // e
     a = a1 * a2
-    m1, m2 = abs(a1), abs(a2)
-    if m2 == 1:
-        b = f2.b if m1 == 1 else f1.b
-    else:
-        b = f1.b + m1 * (((f2.b - f1.b) * pow(m1, -1, m2)) % m2)
-    b %= abs(a)
+    b = (u * f1.a * f2.b + v * f2.a * f1.b + w * (f1.b * f2.b + d)) // e % abs(a)
     c = (b * b - d) // a
-    if (b - f1.b) % m1 or (b - f2.b) % m2:
-        raise ArithmeticError(f"middle coefficient {b} fails the CRT congruences")
+    if (b - f1.b) % a1 or (b - f2.b) % a2:
+        raise ArithmeticError(f"middle coefficient {b} fails the congruences mod {a1}, {a2}")
     if b * b - a * c != d:
         raise ArithmeticError(f"composite ({a}, {b}, {c}) misses determinant {d}")
     return QuadraticForm(a, b, c)

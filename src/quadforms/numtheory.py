@@ -96,7 +96,7 @@ def jacobi(a: int, n: int) -> int:
 
 
 # sqrt_mod splits its modulus by trial division over the primes up to this
-# cap; a leftover must then be below its square or a proven prime.
+# cap; a leftover must then be below its square or a power of a proven prime.
 _SQRT_MOD_TRIAL_CAP = 1 << 16
 
 
@@ -113,9 +113,9 @@ def sqrt_mod(a: int, m: int) -> tuple[int, ...]:
     Size cap: trial division runs over the primes up to 2**16 at most (up
     to the power of two above sqrt(m) when that is smaller, which keeps
     primes_upto to a few cache keys).  The leftover is accepted when it is
-    below 2**32 (it is then prime) or when is_prime proves it prime; any
-    other modulus raises DomainError naming the cap, so no modulus is ever
-    scanned.
+    below 2**32 (it is then prime) or when it is q**k for a q that is_prime
+    proves prime (k found by iroot); any other modulus raises DomainError
+    naming the cap, so no modulus is ever scanned.
     """
     if m < 1:
         raise DomainError("modulus must be positive")
@@ -125,7 +125,8 @@ def sqrt_mod(a: int, m: int) -> tuple[int, ...]:
     r = m
     bound = min(_full_bound(m), _SQRT_MOD_TRIAL_CAP)
     for p in primes_upto(bound):
-        if p * p > r:
+        if p * p > r:  # r is 1 or a prime
+            p = r
             break
         if r % p == 0:
             pk = p
@@ -138,18 +139,31 @@ def sqrt_mod(a: int, m: int) -> tuple[int, ...]:
                 return ()
             done *= pk
     else:  # no prime up to bound divides r, so r is prime if below bound**2
-        try:
-            proven = r < bound * bound or is_prime(r)
-        except DomainError:  # beyond the proof bound of is_prime
-            proven = False
-        if not proven:
+        p = r if r < bound * bound else _proven_prime_root(r)
+        if p is None:
             raise DomainError(
                 f"sqrt_mod factors its modulus by trial division up to {_SQRT_MOD_TRIAL_CAP}; "
-                f"{m} leaves {r}, which is at least {_SQRT_MOD_TRIAL_CAP}**2 and not a proven prime"
+                f"{m} leaves {r}, which is at least {_SQRT_MOD_TRIAL_CAP}**2 "
+                "and not a power of a proven prime"
             )
     if r > 1:
-        roots = _crt_roots(roots, done, _sqrt_mod_prime_power(a % r, r, r), r)
+        roots = _crt_roots(roots, done, _sqrt_mod_prime_power(a % r, p, r), r)
     return tuple(sorted(roots))
+
+
+def _proven_prime_root(n: int) -> int | None:
+    """The prime q with n = q**k when is_prime proves q prime, else None.
+
+    For n with no prime factor up to 2**16, so that q**k > 2**(16k) bounds k.
+    """
+    for k in range(1, n.bit_length() // 16 + 1):
+        q, exact = iroot(n, k)
+        try:
+            if exact and is_prime(q):
+                return q
+        except DomainError:  # beyond the proof bound of is_prime
+            pass
+    return None
 
 
 def _crt_roots(xs: list[int], m: int, ys: tuple[int, ...], n: int) -> list[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .forms import QuadraticForm, UnimodularMap, transform
+from .forms import QuadraticForm, UnimodularMap
 from .numtheory import DomainError, abs_min_residue, sqrt_mod
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,10 +15,11 @@ from quadforms.composition import (
     compose_prime_power,
     compose_same_det,
 )
-from quadforms.forms import QuadraticForm, transform
-from quadforms.numtheory import DomainError, bezout_chain
+from quadforms.forms import QuadraticForm, UnimodularMap, transform
+from quadforms.numtheory import DomainError, bezout_chain, ext_gcd
 from quadforms.reduction import (
     enumerate_reduced_negative,
+    enumerate_reduced_positive,
     is_reduced_negative,
     properly_equivalent,
     reduce_negative,
@@ -27,12 +28,51 @@ from quadforms.reduction import (
 BASE = QuadraticForm(3, 1, 332444)  # determinant -997331
 
 
+def reduced_pool(d, content=None):
+    """Primitive reduced forms of determinant d, of the given content if any."""
+    forms = enumerate_reduced_negative(d) if d < 0 else enumerate_reduced_positive(d)
+    return [f for f in forms if f.is_primitive and content in (None, f.content)]
+
+
+@st.composite
+def proper_image(draw, f):
+    """f carried by a random map of determinant 1, with a nonzero lead."""
+    alpha = draw(st.integers(min_value=-12, max_value=12))
+    gamma = draw(st.integers(min_value=-12, max_value=12).filter(lambda g: gcd(alpha, g) == 1))
+    _, mu, nu = ext_gcd(alpha, gamma)
+    t = draw(st.integers(min_value=-6, max_value=6))
+    g = transform(f, UnimodularMap(alpha, -nu + t * alpha, gamma, mu + t * gamma))
+    assume(g.a != 0)
+    return g
+
+
+determinants = st.one_of(
+    st.integers(min_value=-150, max_value=-1),
+    st.integers(min_value=2, max_value=150).filter(lambda d: isqrt(d) ** 2 != d),
+)
+
+
 @st.composite
 def same_det_pairs(draw):
-    d = draw(st.integers(min_value=-150, max_value=-1))
-    pool = [f for f in enumerate_reduced_negative(d) if f.is_primitive]
+    """Random proper images of two primitive forms of one determinant of either sign."""
+    pool = reduced_pool(draw(determinants))
     assume(pool)
-    return draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+    return tuple(draw(proper_image(draw(st.sampled_from(pool)))) for _ in range(2))
+
+
+@st.composite
+def content_one_triples(draw):
+    """Three reduced forms of content 1 and one determinant, with a proper image of each."""
+    pool = reduced_pool(draw(determinants), content=1)
+    assume(pool)
+    forms = [draw(st.sampled_from(pool)) for _ in range(3)]
+    return forms, [draw(proper_image(f)) for f in forms]
+
+
+def same_class(f, g):
+    if f.determinant < 0:
+        return reduce_negative(f).result == reduce_negative(g).result
+    return properly_equivalent(f, g)
 
 
 def grid_identity_holds(f1, f2, form, sub, span=2):
@@ -63,13 +103,22 @@ def test_principal_form_is_an_identity():
     assert form == QuadraticForm(1, 0, 85)
 
 
-def test_same_det_noncoprime_pair_falls_back():
-    # equal leads force the general construction; result differs from the
-    # prime-power one only by the middle-coefficient representative
+def test_same_det_noncoprime_leads_compose_directly():
+    # e = gcd(3, 3, 2) = 1 leaves equal moduli 3, 3; the result differs from
+    # the prime-power one only by the middle-coefficient representative
     got = compose_same_det(BASE, BASE)
     assert got == QuadraticForm(9, 7, 110820)
     assert got.determinant == -997331
     assert properly_equivalent(got, QuadraticForm(9, -2, 110815))
+    # moduli that share the factor 3 (D = 7, -11, 37; the last two pairs have
+    # negative leads); each value is the one the general construction gives
+    f = QuadraticForm(3, 2, -1)
+    assert compose_same_det(f, f) == QuadraticForm(9, 5, 2)
+    got = compose_same_det(QuadraticForm(-3, 1, -4), QuadraticForm(3, 1, 4))
+    assert got == QuadraticForm(-9, 4, -3)
+    got = compose_same_det(QuadraticForm(-3, 11, -28), QuadraticForm(1413, 3653, 9444))
+    assert got == QuadraticForm(-4239, 3653, -3148)
+    assert got.determinant == 37
 
 
 def test_prime_power_square_and_cube():
@@ -101,8 +150,8 @@ def test_prime_power_agrees_with_same_det_route():
 
 
 def test_even_content_pairs_keep_their_determinant():
-    # the CRT route stays at det D even when both contents are 2; the general
-    # construction instead builds the direct composite at determinant 4D
+    # the united form stays at det D even when both contents are 2; the
+    # general construction instead builds the direct composite at determinant 4D
     f = QuadraticForm(-2, -1, -2)
     assert compose_same_det(f, f) == QuadraticForm(1, 0, 3)
     direct, sub = compose_general(f, f)
@@ -111,7 +160,7 @@ def test_even_content_pairs_keep_their_determinant():
     assert sub.k == 1
     assert grid_identity_holds(f, f, direct, sub)
     g = QuadraticForm(4, 1, 18)
-    assert compose_same_det(g, g) == QuadraticForm(18, 17, 20)
+    assert compose_same_det(g, g) == QuadraticForm(4, 1, 18)
     assert compose_same_det(g, QuadraticForm(4, -1, 18)) == QuadraticForm(1, 0, 71)
     assert compose_same_det(QuadraticForm(6, 1, 12), QuadraticForm(6, 1, 12)).determinant == -71
 
@@ -238,19 +287,34 @@ def test_commutative_with_principal_identity_for_two_determinants():
 
 
 @given(same_det_pairs())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_same_det_congruences_and_primitivity(pair):
     f1, f2 = pair
     got = compose_same_det(f1, f2)
     assert got.determinant == f1.determinant
     assert got.b * got.b - got.a * got.c == f1.determinant
     assert got.is_primitive
-    mu = gcd(f1.a, f2.a, f1.b + f2.b)
-    a1, a2 = f1.a // mu, f2.a // mu
-    if gcd(a1, a2) == 1:
-        assert got.a == a1 * a2
-        assert (got.b - f1.b) % a1 == 0
-        assert (got.b - f2.b) % a2 == 0
+    e = gcd(f1.a, f2.a, f1.b + f2.b)
+    a1, a2 = f1.a // e, f2.a // e
+    assert got.a == a1 * a2
+    assert (got.b - f1.b) % a1 == 0
+    assert (got.b - f2.b) % a2 == 0
+    assert 0 <= got.b < abs(got.a)
+
+
+@given(content_one_triples())
+@settings(max_examples=80, deadline=None)
+def test_same_det_is_a_group_law_on_content_one_classes(triple):
+    (f1, f2, f3), (g1, g2, g3) = triple
+    d = f1.determinant
+    principal = QuadraticForm(1, 0, -d)
+    # the class of the composite depends only on the classes composed
+    assert same_class(compose_same_det(g1, g2), compose_same_det(f1, f2))
+    assert same_class(compose_same_det(principal, g1), f1)
+    assert same_class(compose_same_det(g1, g1.opposite()), principal)
+    left = compose_same_det(compose_same_det(g1, g2), g3)
+    right = compose_same_det(g1, compose_same_det(g2, g3))
+    assert same_class(left, right)
 
 
 @given(same_det_pairs())

@@ -207,6 +207,22 @@ def test_sqrt_mod_refuses_a_modulus_beyond_the_cap():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_sqrt_mod_solves_a_prime_power_leftover():
+    t0 = time.perf_counter()
+    q = 65537  # the least prime above the trial-division cap
+    assert sqrt_mod(4, q**2) == (2, q**2 - 2)
+    m = 3 * q**2
+    roots = sqrt_mod(4, m)
+    assert roots == (2, 4295098367, 8590196740, m - 2)
+    assert all(x * x % m == 4 for x in roots)
+    # iroot finds q from q**4 after rejecting the composite square root q**2
+    assert sqrt_mod(4, q**4) == (2, q**4 - 2)
+    assert sqrt_mod(0, q**3) == tuple(range(0, q**3, q**2))
+    with pytest.raises(DomainError, match="not a power of a proven prime"):
+        sqrt_mod(2, (1000003 * 1000033) ** 2)
+    assert time.perf_counter() - t0 < 1.0
+
+
 # --- primality / trial division ---
 
 

@@ -20,3 +20,23 @@ def test_no_assert_statements():
     ]
     assert len(list(PACKAGE.glob("*.py"))) >= 8
     assert found == []
+
+
+def test_no_unused_imports():
+    """Every name a module imports at its top level is used in that module."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{n} {name}" for name, n in imported.items() if name not in used]
+    assert unused == []
