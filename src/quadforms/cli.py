@@ -15,7 +15,7 @@ import json
 import sys
 
 from .composition import class_multiples, compose_same_det
-from .factorizer import FactorConfig, factor
+from .factorizer import _SIEVE_BUDGET, FactorConfig, factor
 from .forms import QuadraticForm
 from .genus import character, sqrt_of_form
 from .numtheory import DomainError
@@ -245,7 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=None, help="period steps per multiplier")
     p.add_argument("--window", type=int, default=None, help="square-representation window")
     p.add_argument("--smooth-bound", type=int, default=None)
-    p.add_argument("--limit", type=int, default=None, help="sieve limit (default isqrt)")
+    p.add_argument("--limit", type=int, default=None,
+                   help="sieve limit (default isqrt); the sieve runs only when isqrt of "
+                        f"the cofactor is at most {_SIEVE_BUDGET} or SQUFOF exhausts its bounds")
     p.add_argument("--class-seed", type=int, default=None, metavar="LEAD",
                    help="harvest class multiples from a seed with this lead")
 

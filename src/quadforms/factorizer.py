@@ -4,10 +4,14 @@ Every residue collected here is a small number r with x^2 = r (mod M) for
 some known or deducible x.  Three harvests produce them: leading coefficients
 along the period of (1, floor(sqrt(kM)), ...), smooth values of k*x^2 - M near
 sqrt(M/k), and outer coefficients of reduced powers of a class of determinant
--kM.  A raw value sharing a prime with M splits it by a gcd; otherwise every
-odd prime p <= limit for which no kernel is a non-residue mod p survives the
-sieve.  True prime factors of M always survive, so trial division over the
-survivors (and recursion on the quotient) finishes the job.
+-kM.  A raw value sharing a prime with M splits it by a gcd.  Otherwise, when
+isqrt(M) exceeds _SIEVE_BUDGET, Shanks's square-form factorisation (SQUFOF)
+walks the principal cycle of det kM to a square form and the cycle of its
+inverse square root to an ambiguous form, whose lead splits M; each walk has
+an explicit step bound.  Failing that, every odd prime p <= limit for which
+no kernel is a non-residue mod p survives the sieve.  True prime factors of M
+always survive, so trial division over the survivors (and recursion on the
+quotient) finishes the job.
 
 The Jacobi symbol is multiplicative, so a product of kernels can exclude a
 prime its factors let through only when that prime divides one of them, and
@@ -85,10 +89,20 @@ class FactorConfig:
             raise DomainError("multipliers must be positive")
         if self.period_steps < 1:
             raise DomainError("period_steps must be at least 1")
+        if self.window < 0:
+            raise DomainError("window must be at least 0")
         if self.smooth_bound < 2:
             raise DomainError("smooth_bound must be at least 2")
+        if self.class_seed_lead < 1:
+            raise DomainError("class_seed_lead must be at least 1")
         if self.class_count < 1:
             raise DomainError("class_count must be at least 1")
+        if self.sieve_limit is not None and self.sieve_limit < 0:
+            raise DomainError("sieve_limit must be at least 0")
+
+
+# the config of every factor call given none, built and checked once
+_DEFAULT_CONFIG = FactorConfig()
 
 
 def seed_form(m: int, k: int = 1) -> QuadraticForm:
@@ -387,6 +401,101 @@ def sieve_candidates(
     )
 
 
+# crack_hard runs SQUFOF before the sieve only when isqrt(r) exceeds this width
+_SIEVE_BUDGET = 1 << 12
+# the squarefree products of 3, 5, 7 and 11
+_SQUFOF_MULTIPLIERS = (1, 3, 5, 7, 11, 15, 21, 33, 35, 55, 77, 105, 165, 231, 385, 1155)
+
+
+def _square_form(
+    n: int, k: int, state: tuple[int, int, int, int], bound: int
+) -> tuple[int, int, int, int]:
+    """Walk the principal cycle of det kN to the next proper square form or to form `bound`.
+
+    state = (i, Q_i, P_i, Q_(i+1)) stands for form i = ((-1)^i Q_i, P_i,
+    (-1)^(i+1) Q_(i+1)) of the cycle of (1, s, s^2 - kN), s = isqrt(kN), which
+    is (0, 1, s, kN - s^2); each step is `neighbor` in integers, taken two at
+    a time, so i and bound are even.  The walk stops at the first form i whose
+    lead Q_i = r^2 is a proper square, or at i = bound.  A square is improper
+    when r = Q_j / gcd(Q_j, 2k) for a lead Q_j met on the way: its square root
+    then lies in the class of a form whose lead divides 2k, so its ambiguous
+    form gives only a trivial factor (Gower & Wagstaff's queue).
+    """
+    kn = k * n
+    s = isqrt(kn)
+    # leads stay below 2s, so a root r is at most isqrt(2s)
+    small = 2 * k * isqrt(2 * s)
+    improper: set[int] = set()
+    i, q0, p, q = state
+    for i in range(i + 2, bound + 1, 2):
+        # odd step: form i-1 is (-Q_(i-1), P_(i-1), Q_i) = (-q, p1, q0)
+        b = (s + p) // q
+        p1 = b * q - p
+        q0 += b * (p - p1)
+        if q < small:
+            improper.add(q // gcd(q, 2 * k))
+        # even step: form i is (Q_i, P_i, -Q_(i+1)) = (q0, p, -q)
+        b = (s + p1) // q0
+        p = b * q0 - p1
+        q += b * (p1 - p)
+        if q0 < small:
+            improper.add(q0 // gcd(q0, 2 * k))
+        r = isqrt(q0)
+        if r * r == q0 and r not in improper:
+            break
+    return i, q0, p, q
+
+
+def _ambiguous_form(kn: int, r: int, p: int, bound: int) -> tuple[int, int, int] | None:
+    """From the square form (r^2, p, .) of det kn, the first ambiguous form of the
+    cycle of its inverse square root (r, -p, .), as (Q, P, Q'); None after `bound` steps.
+
+    The walk starts at (r, P, (P^2 - kn)/r), the same class with P = -p (mod r)
+    in (s - r, s], and steps like _square_form until a step keeps P: the form
+    reached is then (±Q, P, ∓Q') with Q | 2P.
+    """
+    s = isqrt(kn)
+    p = s - (s + p) % r
+    q0, q = r, (kn - p * p) // r
+    for _ in range(bound):
+        b = (s + p) // q
+        p1 = b * q - p
+        if p1 == p:
+            return q, p, q0
+        q0, q, p = q, q0 + b * (p - p1), p1
+    return None
+
+
+def _squfof(n: int, bound: int | None = None) -> int | None:
+    """A proper factor of n by square-form factorisation, or None.
+
+    Shanks's SQUFOF (Gower & Wagstaff, Math. Comp. 77, 2008): for each
+    multiplier k, walk the principal cycle of det kN to a proper square form,
+    then the cycle of its inverse square root to an ambiguous form, whose lead
+    shares a factor with N or not; then go on to the next multiplier.  Each of
+    the two walks takes at most `bound` steps (an even number), by default
+    3 * 2 * isqrt(2 * isqrt(n)), so no multiplier takes more than 2 * bound.
+    """
+    if bound is None:
+        bound = 6 * isqrt(2 * isqrt(n))
+    for k in _SQUFOF_MULTIPLIERS:
+        kn = k * n
+        s = isqrt(kn)
+        if s * s == kn:
+            g = gcd(s, n)
+            if 1 < g < n:
+                return g
+            continue
+        i, q0, p, _ = _square_form(n, k, (0, 1, s, kn - s * s), bound)
+        if i < bound:
+            found = _ambiguous_form(kn, isqrt(q0), p, bound)
+            if found is not None:
+                g = gcd(found[0], n)
+                if 1 < g < n:
+                    return g
+    return None
+
+
 @dataclass(frozen=True)
 class FactorReport:
     input: int
@@ -439,14 +548,16 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
 
     Small primes are stripped by trial division; prime and perfect-power
     leftovers are dispatched directly.  Anything else is harvested; a proper
-    gcd of a harvested raw value with it splits it, and otherwise the pool is
-    sieved and the quotient by any survivor that divides is recursed on.  If
-    no survivor divides, or a leftover is too large for is_prime to decide,
-    the report comes back partial with the untouched cofactor and a note.
+    gcd of a harvested raw value with it splits it.  Otherwise a leftover r
+    with isqrt(r) > _SIEVE_BUDGET goes to SQUFOF, and if that finds no factor
+    within its bounds, or r is smaller, the pool is sieved and the quotient by
+    any survivor that divides is recursed on.  If no survivor divides, or a
+    leftover is too large for is_prime to decide, the report comes back
+    partial with the untouched cofactor and a note.
     """
     if m < 1:
         raise DomainError("m must be positive")
-    cfg = config or FactorConfig()
+    cfg = config or _DEFAULT_CONFIG
     found: dict[int, int] = {}
     residues: list[WitnessedResidue] = []
     survivors: list[int] = []
@@ -530,6 +641,14 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
             crack(g, mult)
             crack(r // g, mult)
             return
+        if isqrt(r) > _SIEVE_BUDGET:
+            g = _squfof(r)
+            if g is not None:
+                if not (1 < g < r and r % g == 0):
+                    raise DomainError(f"SQUFOF returned {g}, which does not split {r}")
+                crack(g, mult)
+                crack(r // g, mult)
+                return
         limit = cfg.sieve_limit if cfg.sieve_limit is not None else isqrt(r)
         passed = sieve_candidates(pool, limit)
         survivors.extend(passed)

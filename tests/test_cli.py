@@ -157,6 +157,12 @@ def test_factor_pipeline_flags(capsys):
     assert blob["result"]["survivors"] == [127]
 
 
+def test_factor_rejects_a_class_seed_below_one(capsys):
+    code, out, err = run(capsys, ["factor", "--n", "1000036000099", "--class-seed", "0"])
+    assert code == 1 and out == ""
+    assert err.strip() == "error: class_seed_lead must be at least 1"
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["factor", "--n", "997331", "--multipliers", "1,x"])

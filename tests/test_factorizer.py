@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import json
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from quadforms import factorizer
 from quadforms.factorizer import (
+    _SIEVE_BUDGET,
     FactorConfig,
     HarvestResult,
     WitnessedResidue,
+    _ambiguous_form,
+    _square_form,
+    _squfof,
     combine,
     factor,
     harvest_from_class_multiples,
@@ -24,6 +29,7 @@ from quadforms.factorizer import (
 )
 from quadforms.forms import QuadraticForm
 from quadforms.numtheory import DomainError, full_factor, is_prime, jacobi, primes_upto, squarefree_part
+from quadforms.reduction import neighbor, reduce_positive
 
 M = 997331
 BASE = QuadraticForm(3, 1, 332444)
@@ -312,6 +318,15 @@ def test_factor_config_validation():
     ):
         with pytest.raises(DomainError):
             FactorConfig(**bad)
+    for field, value in (
+        ("class_seed_lead", 0),
+        ("class_seed_lead", -3),
+        ("window", -1),
+        ("sieve_limit", -1),
+    ):
+        with pytest.raises(DomainError, match=field):
+            FactorConfig(**{field: value, "use_class_multiples": True})
+    assert FactorConfig(window=0, sieve_limit=0).window == 0
 
 
 def test_factor_golden_default_config():
@@ -385,6 +400,80 @@ def test_factor_skips_a_class_seed_of_content_two():
     assert rep.factorization.factors == ((1000003, 1), (1000037, 1))
     assert f"no class seed of content 1 with lead 2 for {m}" in rep.notes
     assert not any(r.provenance.startswith("class-multiple") for r in rep.residues)
+
+
+# 40- and 64-bit balanced semiprimes
+N40 = 917513 * 983063
+N64 = 3758096411 * 4026531853
+
+
+@pytest.mark.parametrize("n, k", [(M, 1), (M, 2), (M, 3), (N40, 1), (N64, 1)])
+def test_squfof_recurrence_walks_the_cycles_of_the_form_layer(n, k):
+    kn = k * n
+    s = isqrt(kn)
+    start = (0, 1, s, kn - s * s)
+    # two steps per call: state i is the i-th neighbor of the seed form, and
+    # the odd form between two states has their outer coefficients
+    form, state = seed_form(n, k), start
+    for i in range(2, 122, 2):
+        prev = state
+        state = _square_form(n, k, state, i)
+        odd = neighbor(form)
+        form = neighbor(odd)
+        _, q0, p, q = state
+        assert state[0] == i
+        assert form == QuadraticForm(q0, p, -q)
+        assert (odd.a, odd.c) == (-prev[3], q0)
+
+    bound = 6 * isqrt(2 * isqrt(n))
+    i, q0, p, q = _square_form(n, k, start, bound)
+    r = isqrt(q0)
+    assert i < bound and i % 2 == 0 and r * r == q0
+    lead, mid, other = _ambiguous_form(kn, r, p, bound)
+    # the reverse walk is the cycle of the reduced inverse square root of
+    # form i, up to its first step that keeps the middle coefficient
+    form = reduce_positive(QuadraticForm(r, -p, -r * q)).result
+    assert form.a == r
+    for _ in range(bound):
+        nxt = neighbor(form)
+        if nxt.b == form.b:
+            break
+        form = nxt
+    assert nxt in (QuadraticForm(lead, mid, -other), QuadraticForm(-lead, mid, other))
+    assert (2 * mid) % lead == 0
+    assert 1 < gcd(lead, n) < n
+
+
+ABOVE_BUDGET = (
+    (14680067, 15728681),  # 48 bits
+    (234881033, 251658263),  # 56 bits
+    (3758096411, 4026531853),  # 64 bits
+    (1000003, 1000033, 1000037),
+    (101, 1000000007, 1000000009),  # 101 survives trial_bound = 100
+)
+
+
+@pytest.mark.parametrize("primes", ABOVE_BUDGET)
+def test_factor_above_the_sieve_budget(primes):
+    m = prod(primes)
+    assert isqrt(m) > _SIEVE_BUDGET
+    rep = factor(m)
+    assert rep.status == "complete"
+    assert rep.factorization.factors == tuple((p, 1) for p in primes)
+    assert rep.survivors == ()
+    assert rep.notes == ()
+
+
+def test_squfof_out_of_bound_falls_back_to_the_sieve(monkeypatch):
+    assert isqrt(N40) > _SIEVE_BUDGET
+    assert _squfof(N40, bound=2) is None
+    # 3 * 1000003^2 is not a square, but 3 times it is
+    assert _squfof(3 * 1000003**2, bound=2) == 3 * 1000003
+    monkeypatch.setattr(factorizer, "_squfof", lambda r: _squfof(r, bound=2))
+    rep = factor(N40)
+    assert rep.status == "complete"
+    assert rep.factorization.factors == ((917513, 1), (983063, 1))
+    assert 917513 in rep.survivors
 
 
 def test_factor_small_inputs():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import quadforms
@@ -40,3 +41,20 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{n} {name}" for name, n in imported.items() if name not in used]
     assert unused == []
+
+
+def test_traced_functions_resolve():
+    """perfbench's tracer patches its TRACED functions by name, so each must exist."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text()).body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
+    )
+    assert len(traced) >= 20
+    missing = [
+        f"{module}.{name}"
+        for module, name in traced
+        if not callable(getattr(importlib.import_module(f"quadforms.{module}"), name, None))
+    ]
+    assert missing == []
