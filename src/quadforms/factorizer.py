@@ -8,10 +8,11 @@ sqrt(M/k), and outer coefficients of reduced powers of a class of determinant
 isqrt(M) exceeds _SIEVE_BUDGET, Shanks's square-form factorisation (SQUFOF)
 walks the principal cycle of det kM to a square form and the cycle of its
 inverse square root to an ambiguous form, whose lead splits M; each walk has
-an explicit step bound.  Failing that, every odd prime p <= limit for which
-no kernel is a non-residue mod p survives the sieve.  True prime factors of M
-always survive, so trial division over the survivors (and recursion on the
-quotient) finishes the job.
+an explicit step bound.  Failing that, or for smaller M, the sieve keeps every
+odd prime p <= limit for which no kernel is a non-residue mod p, tested by
+Euler's criterion.  Every residue of M is a square mod each prime of M, so
+true prime factors always survive, and trial division over the survivors
+(and recursion on the quotient) finishes the job.
 
 The Jacobi symbol is multiplicative, so a product of kernels can exclude a
 prime its factors let through only when that prime divides one of them, and
@@ -21,9 +22,10 @@ pseudo-survivors from the sieve, so it is not a stage of factor.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 from .composition import class_multiples
 from .forms import QuadraticForm
@@ -34,7 +36,6 @@ from .numtheory import (
     iroot,
     is_prime,
     is_smooth,
-    jacobi,
     primes_upto,
     sqrt_mod,
     squarefree_part,
@@ -278,75 +279,9 @@ def combine(residues: list[WitnessedResidue] | tuple[WitnessedResidue, ...], m: 
     return HarvestResult(tuple(out), tuple(factors))
 
 
-# Kernels whose prime factors are all at most this bound are sieved by residue
-# class; the others are left to the exact pass.
-_MASK_BOUND = 1000
-_MASK_PRIMES = primes_upto(_MASK_BOUND)
-_MASK_PRIMORIAL = prod(_MASK_PRIMES)
-# Stop sieving by residue class once this few candidates are left.
-_FEW_CANDIDATES = 16
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-@lru_cache(maxsize=None)
-def _nonresidue_period(q: int) -> tuple[int, int]:
-    """(pattern, period): bit i of the pattern is set iff (q / 2i+1) = -1.
-
-    For q = -1 or 2 and for an odd prime q, the Jacobi symbol (q/n) over odd n
-    depends only on n mod 4, n mod 8 and n mod 4q (quadratic reciprocity), so
-    the pattern over indices i, where n = 2i + 1, repeats every 2, 4 or 2q.
-    Bits for the odd multiples of q are clear.
-    """
-    if q == -1:
-        return 0b10, 2
-    if q == 2:
-        return 0b0110, 4
-    squares = bytearray(q)
-    for x in range(1, q // 2 + 1):
-        squares[x * x % q] = 1
-    flip = q % 4 == 3
-    pattern = 0
-    for i in range(2 * q):
-        n = 2 * i + 1
-        r = n % q
-        if r and (not squares[r]) != (flip and n % 4 == 3):
-            pattern |= 1 << i
-    return pattern, 2 * q
-
-
-def _nonresidue_mask(q: int, width: int) -> int:
-    """Bit i set iff (q / 2i+1) = -1, for i < width: one period tiled."""
-    mask, period = _nonresidue_period(q)
-    while period < width:
-        mask |= mask << period
-        period *= 2
-    return mask & ((1 << width) - 1)
-
-
-def _odd_prime_mask(width: int) -> int:
-    """Bit i set iff 2i + 1 is prime, for i < width."""
-    flags = bytearray([1]) * width
-    flags[0] = 0
-    for i in range(1, (isqrt(2 * width - 1) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, width, p)))
-    return int(flags[::-1].translate(_BINARY_DIGITS), 2)
-
-
-def _mask_support(kernel: int) -> tuple[int, ...] | None:
-    """Prime factors of a squarefree kernel (with -1 for the sign) if all are <= _MASK_BOUND."""
-    k = abs(kernel)
-    if gcd(k, _MASK_PRIMORIAL) != k:
-        return None
-    support = [-1] if kernel < 0 else []
-    for q in _MASK_PRIMES:
-        if k == 1:
-            break
-        if k % q == 0:
-            support.append(q)
-            k //= q
-    return tuple(support)
+# crack_hard runs SQUFOF before the sieve only when isqrt(r) exceeds this
+# width, so on the default path every sieve reads one prime table
+_SIEVE_BUDGET = 1 << 10
 
 
 def sieve_candidates(
@@ -354,55 +289,23 @@ def sieve_candidates(
 ) -> tuple[int, ...]:
     """Odd primes p <= limit for which no kernel is a non-residue mod p.
 
-    A residue-class sieve first: over one bit per odd n <= limit, each kernel
-    that factors over primes <= _MASK_BOUND clears the odd n where its Jacobi
-    symbol is -1, the XOR of the tiled non-residue masks of its prime factors
-    and sign.  Kernels are added until only a few odd primes are left.  The
-    exact predicate, jacobi(k, p) != -1 for every kernel k not divisible by p,
-    then decides those primes and the masked kernels' own prime factors, where
-    the masks do not apply, so the result is that of the predicate over every
-    odd prime <= limit.
+    The predicate itself, kernel by kernel over the odd primes left: by
+    Euler's criterion, k^((p-1)/2) = -1 (mod p) exactly when (k/p) = -1, and
+    a kernel divisible by p gives 0, so p passes it.  The unit kernels 1 and
+    -1 are left out.  The primes come from primes_upto(max(limit,
+    _SIEVE_BUDGET)), one cached table for every sieve within the budget.
     """
     if not residues:
         raise DomainError("an empty residue pool would pass every prime")
-    if limit < 3:
-        return ()
-    kernels = list(dict.fromkeys(r.kernel for r in residues if abs(r.kernel) != 1))
-    width = (limit + 1) // 2
-    survivors = _odd_prime_mask(width)
-    masks: dict[int, int] = {}
-    # the masked kernels' own primes, where the masks do not apply
-    candidates: set[int] = set()
-    left = survivors.bit_count()
-    for k in kernels:
-        if left <= _FEW_CANDIDATES:
+    table = primes_upto(max(limit, _SIEVE_BUDGET))
+    survivors = table[1 : bisect_right(table, limit)]
+    for k in dict.fromkeys(r.kernel for r in residues if abs(r.kernel) != 1):
+        if not survivors:
             break
-        support = _mask_support(k)
-        if support is None:
-            continue
-        mask = 0
-        for q in support:
-            if q not in masks:
-                masks[q] = _nonresidue_mask(q, width)
-            mask ^= masks[q]
-            if 2 < q <= limit:
-                candidates.add(q)
-        survivors &= ~mask
-        left = survivors.bit_count()
-    bits = bin(survivors)[:1:-1]
-    i = bits.find("1")
-    while i >= 0:
-        candidates.add(2 * i + 1)
-        i = bits.find("1", i + 1)
-    return tuple(
-        p
-        for p in sorted(candidates)
-        if all(jacobi(k, p) != -1 for k in kernels if k % p)
-    )
+        survivors = [p for p in survivors if pow(k, p >> 1, p) != p - 1]
+    return tuple(survivors)
 
 
-# crack_hard runs SQUFOF before the sieve only when isqrt(r) exceeds this width
-_SIEVE_BUDGET = 1 << 12
 # the squarefree products of 3, 5, 7 and 11
 _SQUFOF_MULTIPLIERS = (1, 3, 5, 7, 11, 15, 21, 33, 35, 55, 77, 105, 165, 231, 385, 1155)
 
@@ -598,6 +501,10 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
         nonlocal leftover
         pool: list[WitnessedResidue] = []
 
+        def split(g: int) -> None:
+            crack(g, mult)
+            crack(r // g, mult)
+
         def drain(result: HarvestResult) -> int | None:
             pool.extend(result.residues)
             residues.extend(result.residues)
@@ -608,23 +515,17 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
             if s * s == k * r:
                 g = gcd(s, r)
                 if 1 < g < r:
-                    crack(g, mult)
-                    crack(r // g, mult)
-                    return
+                    return split(g)
                 notes.append(f"multiplier {k} skipped: {k}*{r} is a perfect square")
                 continue
             g = drain(harvest_from_period(r, k, cfg.period_steps))
             if g is not None:
-                crack(g, mult)
-                crack(r // g, mult)
-                return
+                return split(g)
         g = drain(
             harvest_square_representations(r, cfg.multipliers, cfg.window, cfg.smooth_bound)
         )
         if g is not None:
-            crack(g, mult)
-            crack(r // g, mult)
-            return
+            return split(g)
         if cfg.use_class_multiples:
             seed = _class_seed(r, cfg.class_seed_lead)
             if seed is None:
@@ -638,17 +539,13 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
         # a raw sharing a prime with r splits it directly
         g = next((d for x in pool if 1 < (d := gcd(x.raw, r)) < r), None)
         if g is not None:
-            crack(g, mult)
-            crack(r // g, mult)
-            return
+            return split(g)
         if isqrt(r) > _SIEVE_BUDGET:
             g = _squfof(r)
             if g is not None:
                 if not (1 < g < r and r % g == 0):
                     raise DomainError(f"SQUFOF returned {g}, which does not split {r}")
-                crack(g, mult)
-                crack(r // g, mult)
-                return
+                return split(g)
         limit = cfg.sieve_limit if cfg.sieve_limit is not None else isqrt(r)
         passed = sieve_candidates(pool, limit)
         survivors.extend(passed)

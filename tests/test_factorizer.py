@@ -286,7 +286,7 @@ def reference_sieve(kernels, limit):
 
 
 # raws whose kernels are units and +-2, have a prime factor <= limit (exempt
-# there), have a prime near the residue-class bound, or one far above limit
+# there), have a prime near 1000 or 7919, or one far above limit
 sieve_raws = st.one_of(
     st.sampled_from((-2, -1, 1, 2, 4, -8)),
     st.integers(min_value=-5000, max_value=5000).filter(lambda n: n != 0),
@@ -297,10 +297,25 @@ sieve_raws = st.one_of(
 
 @given(st.lists(sieve_raws, min_size=1, max_size=40), st.integers(min_value=0, max_value=5000))
 @example([303], 101)  # 101 divides the kernel and is the limit itself
+@example([21, 10], 30)  # 3 and 7 divide 21; 10 keeps 3 and drops 7
+@example([2, -3], 0)
+@example([2, -3], 1)
+@example([2, -3], 2)
+@example([2, -3], _SIEVE_BUDGET)  # the one table of every sieve within the budget
+@example([2, -3], _SIEVE_BUDGET + 1)  # a second, wider table
 @settings(max_examples=100, deadline=None)
 def test_sieve_candidates_matches_reference(raws, limit):
     pool = [witnessed_residue(v, M, None, "t") for v in raws]
     assert sieve_candidates(pool, limit) == reference_sieve([r.kernel for r in pool], limit)
+
+
+def test_sieves_within_the_budget_share_one_prime_table():
+    # primes_upto keeps 32 tables, so one per sieve limit would evict the others
+    pool = [witnessed_residue(2, 17, 6, "t")]
+    primes_upto.cache_clear()
+    for limit in (3, 316, _SIEVE_BUDGET):
+        sieve_candidates(pool, limit)
+    assert primes_upto.cache_info().currsize == 1
 
 
 def test_factor_config_validation():
@@ -450,6 +465,9 @@ ABOVE_BUDGET = (
     (3758096411, 4026531853),  # 64 bits
     (1000003, 1000033, 1000037),
     (101, 1000000007, 1000000009),  # 101 survives trial_bound = 100
+    (1201, 1453),  # isqrt 1321, 2559 and 3763, above the budget
+    (2309, 2837),
+    (3593, 3943),
 )
 
 
