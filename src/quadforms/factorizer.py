@@ -1,18 +1,19 @@
 """Factoring integers through quadratic residues harvested from forms.
 
-Every residue collected here is a small number r with x^2 = r (mod M) for
-some known or deducible x.  Three harvests produce them: leading coefficients
-along the period of (1, floor(sqrt(kM)), ...), smooth values of k*x^2 - M near
-sqrt(M/k), and outer coefficients of reduced powers of a class of determinant
--kM.  A raw value sharing a prime with M splits it by a gcd.  Otherwise, when
-isqrt(M) exceeds _SIEVE_BUDGET, Shanks's square-form factorisation (SQUFOF)
-walks the principal cycle of det kM to a square form and the cycle of its
-inverse square root to an ambiguous form, whose lead splits M; each walk has
-an explicit step bound.  Failing that, or for smaller M, the sieve keeps every
-odd prime p <= limit for which no kernel is a non-residue mod p, tested by
-Euler's criterion.  Every residue of M is a square mod each prime of M, so
-true prime factors always survive, and trial division over the survivors
-(and recursion on the quotient) finishes the job.
+When isqrt(M) exceeds _SIEVE_BUDGET, Shanks's square-form factorisation
+(SQUFOF) comes first: it walks the principal cycle of det kM to a square form
+and the cycle of its inverse square root to an ambiguous form, whose lead
+splits M; each walk has an explicit step bound.  Failing that, or for smaller
+M, residues are harvested.  Every residue collected here is a small number r
+with x^2 = r (mod M) for some known or deducible x.  Three harvests produce
+them: leading coefficients along the period of (1, floor(sqrt(kM)), ...),
+smooth values of k*x^2 - M near sqrt(M/k), and outer coefficients of reduced
+powers of a class of determinant -kM.  A raw value sharing a prime with M
+splits it by a gcd.  Otherwise the sieve keeps every odd prime p <= limit for
+which no kernel is a non-residue mod p, tested by Euler's criterion.  Every
+residue of M is a square mod each prime of M, so true prime factors always
+survive, and trial division over the survivors (and recursion on the
+quotient) finishes the job.
 
 The Jacobi symbol is multiplicative, so a product of kernels can exclude a
 prime its factors let through only when that prime divides one of them, and
@@ -279,7 +280,7 @@ def combine(residues: list[WitnessedResidue] | tuple[WitnessedResidue, ...], m: 
     return HarvestResult(tuple(out), tuple(factors))
 
 
-# crack_hard runs SQUFOF before the sieve only when isqrt(r) exceeds this
+# crack_hard runs SQUFOF, before any harvest, only when isqrt(r) exceeds this
 # width, so on the default path every sieve reads one prime table
 _SIEVE_BUDGET = 1 << 10
 
@@ -450,10 +451,11 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
     """Factor a positive integer via the quadratic-residue pipeline.
 
     Small primes are stripped by trial division; prime and perfect-power
-    leftovers are dispatched directly.  Anything else is harvested; a proper
-    gcd of a harvested raw value with it splits it.  Otherwise a leftover r
-    with isqrt(r) > _SIEVE_BUDGET goes to SQUFOF, and if that finds no factor
-    within its bounds, or r is smaller, the pool is sieved and the quotient by
+    leftovers are dispatched directly.  A leftover r with isqrt(r) >
+    _SIEVE_BUDGET goes to SQUFOF first, so a report whose every such r
+    SQUFOF splits carries no residues.  If SQUFOF finds no factor within its
+    bounds, or r is smaller, r is harvested; a proper gcd of a harvested raw
+    value with it splits it.  Otherwise the pool is sieved and the quotient by
     any survivor that divides is recursed on.  If no survivor divides, or a
     leftover is too large for is_prime to decide, the report comes back
     partial with the untouched cofactor and a note.
@@ -490,7 +492,7 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
             return
         for e in range(2, r.bit_length() + 1):
             root, exact = iroot(r, e)
-            if root < 2:
+            if root <= cfg.trial_bound:  # r has no prime factor this small
                 break
             if exact:
                 crack(root, mult * e)
@@ -510,6 +512,12 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
             residues.extend(result.residues)
             return result.factors[0] if result.factors else None
 
+        if isqrt(r) > _SIEVE_BUDGET:
+            g = _squfof(r)
+            if g is not None:
+                if not (1 < g < r and r % g == 0):
+                    raise DomainError(f"SQUFOF returned {g}, which does not split {r}")
+                return split(g)
         for k in cfg.multipliers:
             s = isqrt(k * r)
             if s * s == k * r:
@@ -540,12 +548,6 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
         g = next((d for x in pool if 1 < (d := gcd(x.raw, r)) < r), None)
         if g is not None:
             return split(g)
-        if isqrt(r) > _SIEVE_BUDGET:
-            g = _squfof(r)
-            if g is not None:
-                if not (1 < g < r and r % g == 0):
-                    raise DomainError(f"SQUFOF returned {g}, which does not split {r}")
-                return split(g)
         limit = cfg.sieve_limit if cfg.sieve_limit is not None else isqrt(r)
         passed = sieve_candidates(pool, limit)
         survivors.extend(passed)

@@ -408,11 +408,13 @@ def test_factor_notes_a_cofactor_beyond_the_primality_bound():
 
 
 def test_factor_skips_a_class_seed_of_content_two():
-    # lead 2 and r = 3 (mod 4) give the seed (2, 1, (r + 1) / 2) of content 2
-    m = 1000003 * 1000037
+    # lead 2 and r = 3 (mod 4) give the seed (2, 1, (r + 1) / 2) of content 2;
+    # isqrt(m) is within the sieve budget, so the harvests run
+    m = 1009 * 1019
+    assert isqrt(m) <= _SIEVE_BUDGET
     rep = factor(m, FactorConfig(use_class_multiples=True, class_seed_lead=2))
     assert rep.status == "complete"
-    assert rep.factorization.factors == ((1000003, 1), (1000037, 1))
+    assert rep.factorization.factors == ((1009, 1), (1019, 1))
     assert f"no class seed of content 1 with lead 2 for {m}" in rep.notes
     assert not any(r.provenance.startswith("class-multiple") for r in rep.residues)
 
@@ -480,6 +482,8 @@ def test_factor_above_the_sieve_budget(primes):
     assert rep.factorization.factors == tuple((p, 1) for p in primes)
     assert rep.survivors == ()
     assert rep.notes == ()
+    # SQUFOF splits every cofactor above the budget before any harvest
+    assert rep.residues == ()
 
 
 def test_squfof_out_of_bound_falls_back_to_the_sieve(monkeypatch):
@@ -492,6 +496,27 @@ def test_squfof_out_of_bound_falls_back_to_the_sieve(monkeypatch):
     assert rep.status == "complete"
     assert rep.factorization.factors == ((917513, 1), (983063, 1))
     assert 917513 in rep.survivors
+    assert rep.residues != ()
+
+
+# written out: full_factor's prime table for 101**12 would reach 2**40
+@pytest.mark.parametrize(
+    "factors, cfg",
+    [(((101, k),), None) for k in range(2, 13)]
+    + [
+        (((101, 3), (103, 3)), None),
+        (((103, 5), (107, 1)), None),
+        (((3, 20),), FactorConfig(trial_bound=2)),
+    ],
+)
+def test_factor_perfect_powers_with_roots_just_above_the_trial_bound(factors, cfg):
+    # the power probe stops once a root is within the trial bound
+    m = prod(p**e for p, e in factors)
+    rep = factor(m, cfg)
+    assert rep.status == "complete"
+    assert rep.factorization.factors == factors
+    if len(factors) == 1:  # the probe takes each root, so no harvest runs
+        assert rep.residues == ()
 
 
 def test_factor_small_inputs():
