@@ -42,7 +42,7 @@ from .numtheory import (
     squarefree_part,
     trial_factor,
 )
-from .reduction import neighbor
+from .reduction import _walk
 
 
 @dataclass(frozen=True)
@@ -124,22 +124,19 @@ def harvest_from_period(m: int, k: int = 1, steps: int = 20) -> HarvestResult:
     witness w_{j+1} = b_j / w_j (mod M) squares to a_{j+1}; a shared factor
     with M aborts the walk early and is returned through the factor channel.
     """
-    current = seed_form(m, k)
+    seed = seed_form(m, k)
     residues: list[WitnessedResidue] = []
     factors: list[int] = []
-    w = 1
-    for step in range(1, steps + 1):
-        b_prev = current.b
-        current = neighbor(current)
-        g = gcd(current.a, m)
+    w, b_prev = 1, seed.b
+    for step, (a, b, _) in zip(range(1, steps + 1), _walk(k * m, seed.a, seed.b, seed.c)):
+        g = gcd(a, m)
         if g > 1:
             if g < m:
                 factors.append(g)
             break
         w = b_prev * pow(w, -1, m) % m
-        residues.append(
-            witnessed_residue(current.a, m, w, f"period-form(k={k}, step={step})")
-        )
+        b_prev = b
+        residues.append(witnessed_residue(a, m, w, f"period-form(k={k}, step={step})"))
     return HarvestResult(tuple(residues), tuple(factors))
 
 
@@ -318,13 +315,16 @@ def _square_form(
 
     state = (i, Q_i, P_i, Q_(i+1)) stands for form i = ((-1)^i Q_i, P_i,
     (-1)^(i+1) Q_(i+1)) of the cycle of (1, s, s^2 - kN), s = isqrt(kN), which
-    is (0, 1, s, kN - s^2); each step is `neighbor` in integers, taken two at
-    a time, so i and bound are even.  The walk stops at the first form i whose
+    is (0, 1, s, kN - s^2); each step is reduction._walk's, taken two at a
+    time, so i and bound are even.  The walk stops at the first form i whose
     lead Q_i = r^2 is a proper square, or at i = bound.  A square is improper
     when r = Q_j / gcd(Q_j, 2k) for a lead Q_j met on the way: its square root
     then lies in the class of a form whose lead divides 2k, so its ambiguous
     form gives only a trivial factor (Gower & Wagstaff's queue).
     """
+    # steps are fused here and in _ambiguous_form, not drawn from _walk: on 56
+    # semiprimes of 32 to 56 bits a bare _walk step took 425 ns and a step of
+    # this loop 254 ns (Python 3.11.7), and SQUFOF is most of factor's time
     kn = k * n
     s = isqrt(kn)
     # leads stay below 2s, so a root r is at most isqrt(2s)

@@ -390,12 +390,21 @@ def _full_bound(n: int) -> int:
 
 
 def full_factor(n: int) -> Factorization:
-    """Complete factorization by trial division (n of desk scale)."""
-    f = trial_factor(n, _full_bound(n))
-    if f.complete:
-        return f
-    # the cofactor survived division by everything up to its square root
-    return Factorization(f.sign, f.factors + ((f.cofactor, 1),), 1)
+    """Complete factorization by trial division (n of desk scale).
+
+    Division runs first over the primes up to min(_full_bound(n), 2**16), the
+    table sqrt_mod keeps; only a cofactor of at least 2**32, which may still
+    be composite, is divided again over a table sized by that cofactor, so
+    the table follows what is left of n, not n.
+    """
+    f = trial_factor(n, min(_full_bound(n), _SQRT_MOD_TRIAL_CAP))
+    factors, r = f.factors, f.cofactor
+    if r >= _SQRT_MOD_TRIAL_CAP**2:
+        g = trial_factor(r, _full_bound(r))
+        factors, r = factors + g.factors, g.cofactor
+    if r > 1:  # r survived division by every prime up to its square root
+        factors += ((r, 1),)
+    return Factorization(f.sign, factors, 1)
 
 
 def is_smooth(n: int, bound: int) -> bool:
@@ -431,8 +440,11 @@ def squarefree_part(n: int, bound: int | None = None) -> tuple[int, int]:
     """
     if n == 0:
         raise DomainError("0 has no squarefree part")
-    limit = max(bound if bound is not None else _full_bound(n), 2)
-    f = trial_factor(n, limit)
+    if bound is None:
+        f = full_factor(n)
+    else:
+        limit = max(bound, 2)
+        f = trial_factor(n, limit)
     kernel = f.sign
     root = 1
     for p, e in f.factors:
@@ -440,7 +452,7 @@ def squarefree_part(n: int, bound: int | None = None) -> tuple[int, int]:
             kernel *= p
         root *= p ** (e // 2)
     r = f.cofactor
-    if r > 1:
+    if r > 1:  # only under an explicit bound: full_factor leaves no cofactor
         if r <= limit * limit:
             kernel *= r  # no divisor up to sqrt(r): prime, and squarefree
         else:

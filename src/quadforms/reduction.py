@@ -5,10 +5,14 @@ form is carried to the canonical reduced form of its class, so two forms are
 properly equivalent exactly when they reduce to the same tuple; for D > 0
 (non-square) the reduced forms split into disjoint cycles ("periods") and two
 forms are properly equivalent exactly when they land in the same period.
+
+For D > 0 every walk, reducing or along a period, takes the one step that
+_walk defines; from a reduced form it gives the next form of the period.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import isqrt
 
@@ -21,7 +25,20 @@ def _sign(n: int) -> int:
 
 
 def _is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) * isqrt(n) == n
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
+def _walk(d: int, a: int, b: int, c: int) -> Iterator[tuple[int, int, int]]:
+    """The triples after (a, b, c) for non-square d = b^2 - ac > 0, without end.
+
+    Each follows the one before as (c, b1, (b1^2 - d)/c), b1 = s - (s + b) mod |c|,
+    s = isqrt(d): the b1 = -b (mod |c|) in s - |c| < b1 <= s.
+    """
+    s = isqrt(d)
+    while True:
+        b = s - (s + b) % abs(c)
+        a, c = c, (b * b - d) // c
+        yield a, b, c
 
 
 @dataclass(frozen=True)
@@ -113,36 +130,19 @@ def reduce_negative(f: QuadraticForm) -> ReductionTrace:
     return ReductionTrace(tuple(chain))
 
 
-def _pick_indefinite_b(prev_b: int, modulus: int, sq: int) -> int:
-    # unique b with b = -prev_b (mod |modulus|) in the interval (sq - |modulus|, sq]
-    m = abs(modulus)
-    r = (-prev_b) % m
-    return sq - ((sq - r) % m)
-
-
 def reduce_positive(f: QuadraticForm) -> ReductionTrace:
     """Walk contiguous forms for non-square D > 0 until a reduced form appears.
 
-    The successor of (a, b, c) is (c, b1, c1) with b1 = -b (mod |c|) chosen in
-    the interval (sqrt(D) - |c|, sqrt(D)); the walk stops when |c1| >= |c|,
-    which is exactly when the new form is reduced.
+    The steps are _walk's, and the walk stops at the first (a, b, c) with
+    |c| >= |a|: that form is reduced, though an earlier one may be too.
     """
-    d = f.determinant
-    if d <= 0 or _is_square(d):
-        raise DomainError("positive non-square determinant required")
-    if is_reduced_positive(f):
-        return ReductionTrace((f,))
-    sq = isqrt(d)
-    current = f
-    chain = [current]
-    while True:
-        b1 = _pick_indefinite_b(current.b, current.c, sq)
-        c1 = (b1 * b1 - d) // current.c
-        nxt = QuadraticForm(current.c, b1, c1)
-        chain.append(nxt)
-        if abs(c1) >= abs(current.c):
-            break
-        current = nxt
+    chain = [f]
+    # is_reduced_positive also rejects all but a positive non-square determinant
+    if not is_reduced_positive(f):
+        for a, b, c in _walk(f.determinant, f.a, f.b, f.c):
+            chain.append(QuadraticForm(a, b, c))
+            if abs(c) >= abs(a):
+                break
     return ReductionTrace(tuple(chain))
 
 
@@ -195,22 +195,21 @@ def enumerate_reduced_positive(d: int) -> tuple[QuadraticForm, ...]:
 
 
 def neighbor(f: QuadraticForm) -> QuadraticForm:
-    """Successor of a reduced indefinite form: the unique reduced (c, b', c')."""
+    """The unique reduced (c, b', c') after a reduced indefinite form: one _walk step."""
     if not is_reduced_positive(f):
         raise DomainError("neighbor steps are defined on reduced forms only")
-    d = f.determinant
-    b1 = _pick_indefinite_b(f.b, f.c, isqrt(d))
-    return QuadraticForm(f.c, b1, (b1 * b1 - d) // f.c)
+    return QuadraticForm(*next(_walk(f.determinant, f.a, f.b, f.c)))
 
 
 def period(f: QuadraticForm) -> Period:
     """Cycle of reduced forms reachable from f (reducing it first if needed)."""
-    start = f if is_reduced_positive(f) else reduce_positive(f).result
+    start = reduce_positive(f).result
+    first = start.coefficients()
     forms = [start]
-    current = neighbor(start)
-    while current != start:
-        forms.append(current)
-        current = neighbor(current)
+    for triple in _walk(start.determinant, *first):
+        if triple == first:
+            break
+        forms.append(QuadraticForm(*triple))
     return Period(tuple(forms))
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadforms import numtheory
 from quadforms.numtheory import (
     DomainError,
     Factorization,
@@ -307,6 +308,19 @@ def test_full_factor_is_complete(n):
     primes = [p for p, _ in f.factors]
     assert primes == sorted(set(primes))
     assert all(is_prime(p) for p in primes)
+
+
+def test_full_factor_sizes_its_table_by_the_cofactor(monkeypatch):
+    # _full_bound would size tables of 2**40, 2**47 and 2**37 entries by n itself
+    asked = []
+    real = numtheory.primes_upto
+    monkeypatch.setattr(numtheory, "primes_upto", lambda b: asked.append(b) or real(b))
+    assert full_factor(101**12).factors == ((101, 12),)
+    assert full_factor(2**60 * 101**5).factors == ((2, 60), (101, 5))
+    assert squarefree_part(101**11) == (101, 101**5)
+    # a cofactor of 2**32 or more is divided again over a table sized by it
+    assert full_factor(-3 * 65537 * 65539).factors == ((3, 1), (65537, 1), (65539, 1))
+    assert max(asked) == 1 << 17
 
 
 def test_is_smooth():

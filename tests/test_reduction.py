@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadforms.forms import QuadraticForm, UnimodularMap, transform
+from quadforms.forms import QuadraticForm, UnimodularMap, is_contiguous, transform
 from quadforms.numtheory import DomainError, ext_gcd
 from quadforms.reduction import (
     enumerate_reduced_negative,
@@ -330,6 +330,42 @@ def test_periods_partition_the_reduced_forms():
             assert members <= remaining  # no overlap with an earlier cycle
             assert len(members) == cycle.length
             remaining -= members
+
+
+def test_walks_follow_the_definition_of_the_step():
+    # the reference is enumerate_reduced_positive, which takes no walk step:
+    # the successor of a reduced f is the one reduced form with lead f.c and
+    # middle coefficient = -f.b (mod |f.c|)
+    for d in range(2, 301):
+        if isqrt(d) ** 2 == d:
+            continue
+        forms = enumerate_reduced_positive(d)
+        by_lead: dict[int, list[QuadraticForm]] = {}
+        for g in forms:
+            by_lead.setdefault(g.a, []).append(g)
+        successors = {
+            f: [g for g in by_lead.get(f.c, ()) if (g.b + f.b) % abs(f.c) == 0] for f in forms
+        }
+        for f in forms:
+            assert successors[f] == [neighbor(f)], f
+            cycle = period(f).forms
+            assert all(successors[g] == [h] for g, h in zip(cycle, cycle[1:] + cycle[:1])), f
+    # a walk from an unreduced form takes steps b1 = -b (mod |c|) with
+    # s - |c| < b1 <= s, enters a period and stays in it, and stops at the
+    # first form with |c| >= |a|, which may come after its first reduced form
+    r = range(-12, 13)
+    for a, b, c in ((a, b, c) for a in r for b in r for c in r if a and c):
+        d = b * b - a * c
+        if d <= 0 or isqrt(d) ** 2 == d or is_reduced_positive(QuadraticForm(a, b, c)):
+            continue
+        s = isqrt(d)
+        chain = reduce_positive(QuadraticForm(a, b, c)).chain
+        for g, h in zip(chain, chain[1:]):
+            assert is_contiguous(g, h) and s - abs(g.c) < h.b <= s, chain
+        reduced = [is_reduced_positive(g) for g in chain]
+        assert reduced[-1] and reduced == sorted(reduced), chain
+        stops = [abs(g.c) >= abs(g.a) for g in chain[1:]]
+        assert stops.index(True) == len(stops) - 1, chain
 
 
 def test_period_reduces_unreduced_input_first():
