@@ -163,18 +163,15 @@ def _cmd_sqrtform(args: argparse.Namespace) -> tuple[str, dict, list[str], int]:
 
 
 def _cmd_factor(args: argparse.Namespace) -> tuple[str, dict, list[str], int]:
-    defaults = FactorConfig()
-    config = FactorConfig(
-        trial_bound=defaults.trial_bound,
-        multipliers=tuple(args.multipliers) if args.multipliers else defaults.multipliers,
-        period_steps=args.steps if args.steps is not None else defaults.period_steps,
-        window=args.window if args.window is not None else defaults.window,
-        smooth_bound=args.smooth_bound if args.smooth_bound is not None else defaults.smooth_bound,
-        use_class_multiples=args.class_seed is not None,
-        class_seed_lead=args.class_seed if args.class_seed is not None else defaults.class_seed_lead,
-        sieve_limit=args.limit,
-    )
-    report = factor(args.n, config)
+    given = {
+        "multipliers": args.multipliers,
+        "period_steps": args.steps,
+        "window": args.window,
+        "smooth_bound": args.smooth_bound,
+        "class_seed_lead": args.class_seed,
+        "sieve_limit": args.limit,
+    }
+    report = factor(args.n, FactorConfig(**{k: v for k, v in given.items() if v is not None}))
     lines = [
         f"residues: {len(report.residues)}",
         f"survivors: {', '.join(str(p) for p in report.survivors) if report.survivors else '-'}",

@@ -31,6 +31,7 @@ from math import gcd, isqrt
 from .composition import class_multiples
 from .forms import QuadraticForm
 from .numtheory import (
+    _TRIAL_CAP,
     DomainError,
     Factorization,
     full_factor,
@@ -79,9 +80,7 @@ class FactorConfig:
     period_steps: int = 20
     window: int = 50
     smooth_bound: int = 100
-    use_class_multiples: bool = False
-    class_seed_lead: int = 3
-    class_count: int = 10
+    class_seed_lead: int | None = None  # None: no class-multiple harvest
     sieve_limit: int | None = None
 
     def __post_init__(self) -> None:
@@ -95,10 +94,8 @@ class FactorConfig:
             raise DomainError("window must be at least 0")
         if self.smooth_bound < 2:
             raise DomainError("smooth_bound must be at least 2")
-        if self.class_seed_lead < 1:
+        if self.class_seed_lead is not None and self.class_seed_lead < 1:
             raise DomainError("class_seed_lead must be at least 1")
-        if self.class_count < 1:
-            raise DomainError("class_count must be at least 1")
         if self.sieve_limit is not None and self.sieve_limit < 0:
             raise DomainError("sieve_limit must be at least 0")
 
@@ -277,8 +274,7 @@ def combine(residues: list[WitnessedResidue] | tuple[WitnessedResidue, ...], m: 
     return HarvestResult(tuple(out), tuple(factors))
 
 
-# crack_hard runs SQUFOF, before any harvest, only when isqrt(r) exceeds this
-# width, so on the default path every sieve reads one prime table
+# crack_hard runs SQUFOF, before any harvest, when isqrt(r) exceeds this width
 _SIEVE_BUDGET = 1 << 10
 
 
@@ -291,11 +287,11 @@ def sieve_candidates(
     Euler's criterion, k^((p-1)/2) = -1 (mod p) exactly when (k/p) = -1, and
     a kernel divisible by p gives 0, so p passes it.  The unit kernels 1 and
     -1 are left out.  The primes come from primes_upto(max(limit,
-    _SIEVE_BUDGET)), one cached table for every sieve within the budget.
+    _TRIAL_CAP)), the one table of numtheory for every limit below 2**16.
     """
     if not residues:
         raise DomainError("an empty residue pool would pass every prime")
-    table = primes_upto(max(limit, _SIEVE_BUDGET))
+    table = primes_upto(max(limit, _TRIAL_CAP))
     survivors = table[1 : bisect_right(table, limit)]
     for k in dict.fromkeys(r.kernel for r in residues if abs(r.kernel) != 1):
         if not survivors:
@@ -534,12 +530,12 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
         )
         if g is not None:
             return split(g)
-        if cfg.use_class_multiples:
+        if cfg.class_seed_lead is not None:
             seed = _class_seed(r, cfg.class_seed_lead)
             if seed is None:
                 notes.append(f"no class seed of content 1 with lead {cfg.class_seed_lead} for {r}")
             else:
-                drain(harvest_from_class_multiples(r, seed, cfg.class_count, cfg.smooth_bound))
+                drain(harvest_from_class_multiples(r, seed, smooth_bound=cfg.smooth_bound))
         if not pool:
             notes.append(f"no residues harvested for {r}")
             leftover *= r**mult

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import gcd
 
 from .forms import QuadraticForm
-from .numtheory import DomainError, ext_gcd, full_factor, jacobi, sqrt_mod
+from .numtheory import DomainError, _crt_roots, full_factor, jacobi, sqrt_mod
 
 
 @dataclass(frozen=True)
@@ -45,16 +45,6 @@ class FormSqrtValue:
     h: int
     modulus: int
     multiplier: int
-
-
-def _crt(pairs: list[tuple[int, int]]) -> tuple[int, int]:
-    # pairs of (residue, modulus) with pairwise coprime moduli
-    x, m = 0, 1
-    for r, mod in pairs:
-        _, inv, _ = ext_gcd(m % mod, mod)
-        x += m * (((r - x) * inv) % mod)
-        m *= mod
-    return x % m, m
 
 
 @lru_cache(maxsize=64)
@@ -137,8 +127,7 @@ def is_characteristic_number(multiplier: int, f: QuadraticForm) -> tuple[bool, F
         raise DomainError("zero determinant is not supported")
     if gcd(multiplier, d) != 1:
         raise DomainError("multiplier must be coprime to the determinant")
-    parts_g: list[tuple[int, int]] = []
-    parts_h: list[tuple[int, int]] = []
+    gs, hs, done = [0], [0], 1  # the witness mod done, the part of |D| solved so far
     for p, pk in _prime_powers(abs(d)):
         if f.a % p:
             roots = sqrt_mod(f.a * multiplier % pk, pk)
@@ -152,10 +141,10 @@ def is_characteristic_number(multiplier: int, f: QuadraticForm) -> tuple[bool, F
                 return False, None
             h = roots[0]
             g = f.b * h * pow(f.c, -1, pk) % pk
-        parts_g.append((g, pk))
-        parts_h.append((h, pk))
-    g, _ = _crt(parts_g)
-    h, _ = _crt(parts_h)
+        gs = _crt_roots(gs, done, (g,), pk)
+        hs = _crt_roots(hs, done, (h,), pk)
+        done *= pk
+    (g,), (h,) = gs, hs
     m = abs(d)
     witness = FormSqrtValue(g, h, m, multiplier)
     if (

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
 __all__ = [
     "DomainError",
-    "SmoothnessError",
     "Factorization",
     "ext_gcd",
     "bezout_chain",
@@ -28,10 +28,6 @@ __all__ = [
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
-
-
-class SmoothnessError(DomainError):
-    """An integer did not factor completely within the requested bound."""
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -95,9 +91,10 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-# sqrt_mod splits its modulus by trial division over the primes up to this
-# cap; a leftover must then be below its square or a power of a proven prime.
-_SQRT_MOD_TRIAL_CAP = 1 << 16
+# The one trial-division table: is_prime looks n up in the primes below this
+# cap, and sqrt_mod, full_factor and the sieve divide over them, so every
+# caller reads the one cached primes_upto(_TRIAL_CAP).
+_TRIAL_CAP = 1 << 16
 
 
 def sqrt_mod(a: int, m: int) -> tuple[int, ...]:
@@ -110,12 +107,11 @@ def sqrt_mod(a: int, m: int) -> tuple[int, ...]:
     lifting carries it to p**k; a unit mod 2**k has 1, 2 or 4 roots; when
     p | a, a = p**j * u with j even is solved through y*y ≡ u (mod p**(k-j)).
 
-    Size cap: trial division runs over the primes up to 2**16 at most (up
-    to the power of two above sqrt(m) when that is smaller, which keeps
-    primes_upto to a few cache keys).  The leftover is accepted when it is
-    below 2**32 (it is then prime) or when it is q**k for a q that is_prime
-    proves prime (k found by iroot); any other modulus raises DomainError
-    naming the cap, so no modulus is ever scanned.
+    Size cap: trial division runs over the primes below 2**16, the one table
+    primes_upto(_TRIAL_CAP).  The leftover is accepted when it is below 2**32
+    (it is then prime) or when it is q**k for a q that is_prime proves prime
+    (k found by iroot); any other modulus raises DomainError naming the cap,
+    so no modulus is ever scanned.
     """
     if m < 1:
         raise DomainError("modulus must be positive")
@@ -123,8 +119,7 @@ def sqrt_mod(a: int, m: int) -> tuple[int, ...]:
     roots = [0]
     done = 1  # roots holds every root mod done, the part of m solved so far
     r = m
-    bound = min(_full_bound(m), _SQRT_MOD_TRIAL_CAP)
-    for p in primes_upto(bound):
+    for p in primes_upto(_TRIAL_CAP):
         if p * p > r:  # r is 1 or a prime
             p = r
             break
@@ -138,12 +133,12 @@ def sqrt_mod(a: int, m: int) -> tuple[int, ...]:
             if not roots:
                 return ()
             done *= pk
-    else:  # no prime up to bound divides r, so r is prime if below bound**2
-        p = r if r < bound * bound else _proven_prime_root(r)
+    else:  # no prime below the cap divides r, so r is prime if below the cap squared
+        p = r if r < _TRIAL_CAP**2 else _proven_prime_root(r)
         if p is None:
             raise DomainError(
-                f"sqrt_mod factors its modulus by trial division up to {_SQRT_MOD_TRIAL_CAP}; "
-                f"{m} leaves {r}, which is at least {_SQRT_MOD_TRIAL_CAP}**2 "
+                f"sqrt_mod factors its modulus by trial division up to {_TRIAL_CAP}; "
+                f"{m} leaves {r}, which is at least {_TRIAL_CAP}**2 "
                 "and not a power of a proven prime"
             )
     if r > 1:
@@ -265,7 +260,7 @@ def primes_upto(bound: int) -> tuple[int, ...]:
 # Miller-Rabin bases: the first 13 primes.  Below each bound, the strong test
 # to the first `count` of them is a proof of primality (Jaeschke, Math. Comp.
 # 61, 1993; Sorenson & Webster, Math. Comp. 86, 2017).  The bound 2047 for the
-# base 2 alone is left out: trial division decides below 2**16.
+# base 2 alone is left out: the prime table decides below 2**16.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BASE_PRODUCT = prod(_MR_BASES)
 _MR_PROOF_BOUNDS = (
@@ -279,16 +274,14 @@ _MR_PROOF_BOUNDS = (
     (318_665_857_834_031_151_167_461, 12),
     (3_317_044_064_679_887_385_961_981, 13),
 )
-# Below this, trial division up to sqrt(n) is faster than two modular powers.
-_TRIAL_DIVISION_BELOW = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    """Primality, proven: deterministic Miller-Rabin, with trial division below 2**16.
+    """Primality, proven: the prime table below 2**16, deterministic Miller-Rabin above.
 
-    From 2**16 up to the last bound of _MR_PROOF_BOUNDS (about 3.3e24) the
-    strong test to the smallest sufficient set of prime bases decides.  Below
-    2**16, trial division up to sqrt(n) is faster.  At or above the last
+    Below 2**16, n is looked up in primes_upto(_TRIAL_CAP).  From there up to
+    the last bound of _MR_PROOF_BOUNDS (about 3.3e24) the strong test to the
+    smallest sufficient set of prime bases decides.  At or above the last
     bound, a composite that fails one of the 13 bases gives False, and any
     other n raises DomainError naming the bound, so a True is never
     probabilistic and no call runs unbounded trial division.
@@ -297,31 +290,27 @@ def is_prime(n: int) -> bool:
         return n in _MR_BASES
     if gcd(n, _MR_BASE_PRODUCT) != 1:
         return False
-    if n >= _TRIAL_DIVISION_BELOW:
-        d = n - 1
-        s = (d & -d).bit_length() - 1
-        d >>= s
-        for bound, count in _MR_PROOF_BOUNDS:
-            if n < bound:
+    if n < _TRIAL_CAP:  # n > 41 here, so the table holds a prime <= n
+        table = primes_upto(_TRIAL_CAP)
+        return table[bisect_right(table, n) - 1] == n
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for bound, count in _MR_PROOF_BOUNDS:
+        if n < bound:
+            break
+    for a in _MR_BASES[:count]:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
                 break
-        for a in _MR_BASES[:count]:
-            x = pow(a, d, n)
-            if x == 1 or x == n - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        if n >= bound:
-            raise DomainError(f"primality is proven only below {bound}; {n} passes all 13 bases")
-        return True
-    d = 43  # the primes up to 41 were ruled out above
-    while d * d <= n:
-        if n % d == 0 or n % (d + 4) == 0:
+        else:
             return False
-        d += 6
+    if n >= bound:
+        raise DomainError(f"primality is proven only below {bound}; {n} passes all 13 bases")
     return True
 
 
@@ -384,7 +373,6 @@ def _full_bound(n: int) -> int:
 
     Division stops at p*p > r, and a leftover with no divisor up to its square
     root is prime, so every bound above sqrt(|n|) gives the same factorization.
-    Rounding up to a power of two keeps primes_upto to a few dozen cache keys.
     """
     return 1 << (isqrt(abs(n)) + 1).bit_length()
 
@@ -392,16 +380,32 @@ def _full_bound(n: int) -> int:
 def full_factor(n: int) -> Factorization:
     """Complete factorization by trial division (n of desk scale).
 
-    Division runs first over the primes up to min(_full_bound(n), 2**16), the
-    table sqrt_mod keeps; only a cofactor of at least 2**32, which may still
-    be composite, is divided again over a table sized by that cofactor, so
-    the table follows what is left of n, not n.
+    Division runs first over the primes below 2**16, the one table
+    primes_upto(_TRIAL_CAP).  A cofactor of at least 2**32 has no prime
+    factor that small and may be composite: it is accepted when it is q**k
+    for a q that is_prime proves prime, and otherwise divided again over a
+    table sized by it, which must be at most 2**24 (a cofactor below about
+    2**48).  A larger composite cofactor raises DomainError naming that limit.
     """
-    f = trial_factor(n, min(_full_bound(n), _SQRT_MOD_TRIAL_CAP))
+    f = trial_factor(n, _TRIAL_CAP)
     factors, r = f.factors, f.cofactor
-    if r >= _SQRT_MOD_TRIAL_CAP**2:
-        g = trial_factor(r, _full_bound(r))
-        factors, r = factors + g.factors, g.cofactor
+    if r >= _TRIAL_CAP**2:
+        q = _proven_prime_root(r)
+        if q is not None:
+            k = 0
+            while r > 1:
+                r //= q
+                k += 1
+            factors += ((q, k),)
+        elif (bound := _full_bound(r)) > 1 << 24:
+            raise DomainError(
+                f"full_factor divides a cofactor by primes up to {1 << 24} at most; "
+                f"{n} leaves {r}, which needs primes up to {bound} "
+                "and is not a power of a proven prime"
+            )
+        else:
+            g = trial_factor(r, bound)
+            factors, r = factors + g.factors, g.cofactor
     if r > 1:  # r survived division by every prime up to its square root
         factors += ((r, 1),)
     return Factorization(f.sign, factors, 1)
@@ -431,35 +435,16 @@ def is_smooth(n: int, bound: int) -> bool:
     return r <= bound
 
 
-def squarefree_part(n: int, bound: int | None = None) -> tuple[int, int]:
-    """Split n = kernel * cofactor**2 with kernel squarefree carrying the sign.
-
-    With bound=None the factorization is forced complete; an explicit bound
-    raises SmoothnessError when the part of n left over after trial division
-    is neither a certified prime nor a perfect square.
-    """
+def squarefree_part(n: int) -> tuple[int, int]:
+    """Split n = kernel * root**2 with kernel squarefree carrying the sign, by full_factor."""
     if n == 0:
         raise DomainError("0 has no squarefree part")
-    if bound is None:
-        f = full_factor(n)
-    else:
-        limit = max(bound, 2)
-        f = trial_factor(n, limit)
-    kernel = f.sign
-    root = 1
+    f = full_factor(n)
+    kernel, root = f.sign, 1
     for p, e in f.factors:
         if e % 2:
             kernel *= p
         root *= p ** (e // 2)
-    r = f.cofactor
-    if r > 1:  # only under an explicit bound: full_factor leaves no cofactor
-        if r <= limit * limit:
-            kernel *= r  # no divisor up to sqrt(r): prime, and squarefree
-        else:
-            s = isqrt(r)
-            if s * s != r:
-                raise SmoothnessError(f"{n} does not factor over primes <= {limit}")
-            root *= s
     return kernel, root
 
 

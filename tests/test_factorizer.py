@@ -29,7 +29,12 @@ from quadforms.factorizer import (
 )
 from quadforms.forms import QuadraticForm
 from quadforms.numtheory import DomainError, full_factor, is_prime, jacobi, primes_upto, squarefree_part
-from quadforms.reduction import neighbor, reduce_positive
+from quadforms.reduction import (
+    enumerate_reduced_negative,
+    enumerate_reduced_positive,
+    neighbor,
+    reduce_positive,
+)
 
 M = 997331
 BASE = QuadraticForm(3, 1, 332444)
@@ -301,8 +306,8 @@ sieve_raws = st.one_of(
 @example([2, -3], 0)
 @example([2, -3], 1)
 @example([2, -3], 2)
-@example([2, -3], _SIEVE_BUDGET)  # the one table of every sieve within the budget
-@example([2, -3], _SIEVE_BUDGET + 1)  # a second, wider table
+@example([2, -3], _SIEVE_BUDGET)
+@example([2, -3], _SIEVE_BUDGET + 1)  # still within the one table, of the primes below 2**16
 @settings(max_examples=100, deadline=None)
 def test_sieve_candidates_matches_reference(raws, limit):
     pool = [witnessed_residue(v, M, None, "t") for v in raws]
@@ -318,18 +323,27 @@ def test_sieves_within_the_budget_share_one_prime_table():
     assert primes_upto.cache_info().currsize == 1
 
 
+def test_factor_and_the_enumerations_share_the_one_prime_table():
+    # besides trial_bound's and smooth_bound's table (both 100), every caller reads primes_upto(2**16)
+    primes_upto.cache_clear()
+    for m in range(90000, 90500):
+        factor(m)
+    enumerate_reduced_negative(-99991)
+    enumerate_reduced_positive(99991)
+    assert primes_upto.cache_info().currsize <= 2
+
+
 def test_factor_config_validation():
     cfg = FactorConfig()
     assert (cfg.trial_bound, cfg.multipliers, cfg.period_steps) == (100, (1, 2, 3), 20)
     assert (cfg.window, cfg.smooth_bound, cfg.sieve_limit) == (50, 100, None)
-    assert (cfg.use_class_multiples, cfg.class_seed_lead, cfg.class_count) == (False, 3, 10)
+    assert cfg.class_seed_lead is None
     for bad in (
         dict(trial_bound=1),
         dict(multipliers=()),
         dict(multipliers=(1, 0)),
         dict(period_steps=0),
         dict(smooth_bound=1),
-        dict(class_count=0),
     ):
         with pytest.raises(DomainError):
             FactorConfig(**bad)
@@ -340,7 +354,7 @@ def test_factor_config_validation():
         ("sieve_limit", -1),
     ):
         with pytest.raises(DomainError, match=field):
-            FactorConfig(**{field: value, "use_class_multiples": True})
+            FactorConfig(**{field: value})
     assert FactorConfig(window=0, sieve_limit=0).window == 0
 
 
@@ -357,7 +371,7 @@ def test_factor_golden_default_config():
 
 
 def test_factor_full_pipeline_sieves_to_127():
-    rep = factor(M, FactorConfig(period_steps=10, use_class_multiples=True))
+    rep = factor(M, FactorConfig(period_steps=10, class_seed_lead=3))
     assert rep.status == "complete"
     assert rep.factorization.factors == ((127, 1), (7853, 1))
     assert rep.survivors == (127,)
@@ -382,7 +396,7 @@ def test_factor_splits_on_a_raw_sharing_a_prime():
     st.sampled_from(
         (
             FactorConfig(trial_bound=2),
-            FactorConfig(trial_bound=5, smooth_bound=200, use_class_multiples=True),
+            FactorConfig(trial_bound=5, smooth_bound=200, class_seed_lead=3),
             SHARED_PRIME_CONFIG,
         )
     ),
@@ -412,7 +426,7 @@ def test_factor_skips_a_class_seed_of_content_two():
     # isqrt(m) is within the sieve budget, so the harvests run
     m = 1009 * 1019
     assert isqrt(m) <= _SIEVE_BUDGET
-    rep = factor(m, FactorConfig(use_class_multiples=True, class_seed_lead=2))
+    rep = factor(m, FactorConfig(class_seed_lead=2))
     assert rep.status == "complete"
     assert rep.factorization.factors == ((1009, 1), (1019, 1))
     assert f"no class seed of content 1 with lead 2 for {m}" in rep.notes

@@ -13,7 +13,6 @@ from quadforms import numtheory
 from quadforms.numtheory import (
     DomainError,
     Factorization,
-    SmoothnessError,
     abs_min_residue,
     bezout_chain,
     ext_gcd,
@@ -228,9 +227,14 @@ def test_sqrt_mod_solves_a_prime_power_leftover():
 
 
 def test_is_prime_small_table():
+    # is_prime reads primes_upto below 2**16, so there a divisor scan is the oracle
     known = set(primes_upto(2 * 10**5))
     for n in range(-3, 2 * 10**5):
-        assert is_prime(n) == (n in known)
+        if n < numtheory._TRIAL_CAP + 100:
+            expected = n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+        else:
+            expected = n in known
+        assert is_prime(n) == expected
 
 
 def test_is_prime_rejects_pseudoprimes():
@@ -318,9 +322,25 @@ def test_full_factor_sizes_its_table_by_the_cofactor(monkeypatch):
     assert full_factor(101**12).factors == ((101, 12),)
     assert full_factor(2**60 * 101**5).factors == ((2, 60), (101, 5))
     assert squarefree_part(101**11) == (101, 101**5)
-    # a cofactor of 2**32 or more is divided again over a table sized by it
+    # a composite cofactor of 2**32 or more is divided again over a table sized by it
     assert full_factor(-3 * 65537 * 65539).factors == ((3, 1), (65537, 1), (65539, 1))
     assert max(asked) == 1 << 17
+
+
+def test_full_factor_proves_a_prime_cofactor_and_bounds_a_composite_one(monkeypatch):
+    asked = []
+    real = numtheory.primes_upto
+    monkeypatch.setattr(numtheory, "primes_upto", lambda b: asked.append(b) or real(b))
+    t0 = time.perf_counter()
+    # is_prime proves the cofactor, where a table up to its square root would hold 2**31 entries
+    big = 2**61 - 1
+    assert full_factor(3 * big).factors == ((3, 1), (big, 1))
+    assert full_factor(-(65537**3) * 5).factors == ((5, 1), (65537, 3))
+    # a composite cofactor that needs primes beyond 2**24 is refused, not scanned
+    with pytest.raises(DomainError, match="primes up to 16777216 at most; .* needs primes up to 2147483648"):
+        full_factor((2**31 - 1) * (2**31 - 19))
+    assert time.perf_counter() - t0 < 1.0
+    assert max(asked) == 1 << 16
 
 
 def test_is_smooth():
@@ -378,16 +398,6 @@ def test_squarefree_part_pinned_values():
     assert squarefree_part(1) == (1, 1)
     assert squarefree_part(-1) == (-1, 1)
     assert squarefree_part(144) == (1, 12)
-
-
-def test_squarefree_part_bounded():
-    # 998 = 2 * 499; 499 <= 31*31 certifies itself prime
-    assert squarefree_part(998, 31) == (998, 1)
-    # rough square cofactor is absorbed into the root
-    assert squarefree_part(4 * 101 * 101, 10) == (1, 202)
-    # rough non-square leftover is a genuine smoothness failure
-    with pytest.raises(SmoothnessError):
-        squarefree_part(101 * 103, 5)
     with pytest.raises(DomainError):
         squarefree_part(0)
 

@@ -58,3 +58,12 @@ def test_traced_functions_resolve():
         if not callable(getattr(importlib.import_module(f"quadforms.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_exported_names_resolve():
+    """Every name in a module's __all__ is defined, so a deleted export cannot linger as a string."""
+    modules = [importlib.import_module(f"quadforms.{path.stem}") for path in sorted(PACKAGE.glob("[!_]*.py"))]
+    exporting = [quadforms] + [m for m in modules if hasattr(m, "__all__")]
+    assert {"quadforms", "quadforms.numtheory", "quadforms.forms"} <= {m.__name__ for m in exporting}
+    missing = [f"{m.__name__}.{name}" for m in exporting for name in m.__all__ if not hasattr(m, name)]
+    assert missing == []
