@@ -1,10 +1,16 @@
-"""Exact integer arithmetic: gcd chains, residues, Jacobi symbols, primality, trial division."""
+"""Exact integer arithmetic: gcd chains, residues, Jacobi symbols, primality, trial division.
+
+Kernels and smoothness peel small primes by gcds against a cached product of
+primes (Bernstein, "How to find smooth parts of integers", 2004) rather than
+dividing by one prime at a time; see _strip.
+"""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, prod
 
 __all__ = [
@@ -92,8 +98,9 @@ def jacobi(a: int, n: int) -> int:
 
 
 # The one trial-division table: is_prime looks n up in the primes below this
-# cap, and sqrt_mod, full_factor and the sieve divide over them, so every
-# caller reads the one cached primes_upto(_TRIAL_CAP).
+# cap, sqrt_mod, full_factor and the sieve divide over them, and _primorial
+# multiplies a slice of them, so every caller reads the one cached
+# primes_upto(_TRIAL_CAP).
 _TRIAL_CAP = 1 << 16
 
 
@@ -254,7 +261,7 @@ def primes_upto(bound: int) -> tuple[int, ...]:
     for p in range(2, isqrt(bound) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return tuple(i for i, f in enumerate(flags) if f)
+    return tuple(compress(range(bound + 1), flags))
 
 
 # Miller-Rabin bases: the first 13 primes.  Below each bound, the strong test
@@ -411,41 +418,67 @@ def full_factor(n: int) -> Factorization:
     return Factorization(f.sign, factors, 1)
 
 
+@lru_cache(maxsize=32)
+def _primorial(bound: int) -> int:
+    """The product of the primes <= bound, from the one table for bounds below 2**16."""
+    table = primes_upto(max(bound, _TRIAL_CAP))
+    return prod(table[: bisect_right(table, bound)])
+
+
+def _strip(r: int, primorial: int) -> tuple[int, int]:
+    """(kernel, rest) for r >= 1: r = kernel * s**2 * rest with rest coprime to primorial.
+
+    kernel is the product of the primes of primorial that divide r to an odd
+    power.  g = gcd(r, primorial) is the radical of that part of r; each pass
+    divides it out and keeps in g the primes that still divide r, so the
+    primes leaving g on the first, third, fifth ... pass have odd exponent.
+    """
+    kernel, odd = 1, True
+    g = gcd(r, primorial)
+    while g > 1:
+        r //= g
+        g_next = gcd(r, g)
+        if odd:
+            kernel *= g // g_next
+        g, odd = g_next, not odd
+    return kernel, r
+
+
 def is_smooth(n: int, bound: int) -> bool:
     """True iff every prime factor of n is <= bound (n nonzero).
 
-    trial_factor(n, bound).complete without building the Factorization.  The
-    answer is known once the leftover r is at most bound (its prime factors
-    are at most r) or once p*p > r (r is then 1 or a prime).
+    The same answer as trial_factor(n, bound).complete.  n is peeled by gcds
+    with the product of the primes up to min(bound, s), where s =
+    2**ceil(bits/2) > sqrt|n|.  The rest has no prime factor up to that cut:
+    if the cut is bound, it is 1 or not smooth, and if it is s, it is 1 or a
+    prime, since s**2 > |n|.  Either way n is smooth iff the rest is at most
+    bound.  The cut at s keeps a small n from paying a gcd with a large product.
     """
     if n == 0:
         raise DomainError("0 has no factorization")
     if bound < 2:
         raise DomainError("trial division bound must be at least 2")
     r = abs(n)
-    for p in primes_upto(bound):
-        if p * p > r:
-            break
-        if r % p == 0:
-            r //= p
-            while r % p == 0:
-                r //= p
-            if r <= bound:
-                return True
-    return r <= bound
+    s = 1 << (r.bit_length() + 1) // 2
+    return _strip(r, _primorial(s if s < bound else bound))[1] <= bound
 
 
 def squarefree_part(n: int) -> tuple[int, int]:
-    """Split n = kernel * root**2 with kernel squarefree carrying the sign, by full_factor."""
+    """Split n = kernel * root**2 with kernel squarefree carrying the sign.
+
+    The primes below 2**8 are peeled by gcds with their product.  A rest
+    below 2**16 then has no prime factor up to its square root, so it is 1
+    or a prime and joins the kernel.  Only when the rest is 2**16 or more is
+    n factored, by full_factor, whose DomainError bounds the work.
+    """
     if n == 0:
         raise DomainError("0 has no squarefree part")
-    f = full_factor(n)
-    kernel, root = f.sign, 1
-    for p, e in f.factors:
-        if e % 2:
-            kernel *= p
-        root *= p ** (e // 2)
-    return kernel, root
+    kernel, rest = _strip(abs(n), _primorial(isqrt(_TRIAL_CAP)))
+    if rest < _TRIAL_CAP:
+        kernel *= rest
+    else:  # rare; factoring n itself keeps full_factor's error naming n
+        kernel = prod(p for p, e in full_factor(n).factors if e % 2)
+    return (kernel if n > 0 else -kernel), isqrt(abs(n) // kernel)
 
 
 def iroot(n: int, k: int) -> tuple[int, bool]:

@@ -324,7 +324,8 @@ def test_sieves_within_the_budget_share_one_prime_table():
 
 
 def test_factor_and_the_enumerations_share_the_one_prime_table():
-    # besides trial_bound's and smooth_bound's table (both 100), every caller reads primes_upto(2**16)
+    # besides trial_bound's table (100), every caller reads primes_upto(2**16); is_smooth slices
+    # smooth_bound's primes out of it
     primes_upto.cache_clear()
     for m in range(90000, 90500):
         factor(m)

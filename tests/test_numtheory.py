@@ -389,6 +389,43 @@ def test_is_smooth_matches_trial_factor(case):
     assert is_smooth(n, bound) == trial_factor(n, bound).complete
 
 
+# every prime from 2**8 to 2**16, so that a peel by the primes below 2**8 leaves it
+MIDDLE_PRIMES = primes_upto(1 << 16)[len(primes_upto(1 << 8)) :]
+
+
+@st.composite
+def peel_cases(draw):
+    """A signed product of primes <= 2**8 to exponents up to 6, times 1, a prime
+    in (2**8, 2**16), 257 * 263, a power of 65537 or 2**31 - 1."""
+    powers = draw(st.lists(st.tuples(st.sampled_from(primes_upto(1 << 8)), st.integers(1, 6)), max_size=6))
+    rest = draw(
+        st.one_of(
+            st.just(1),
+            st.sampled_from(MIDDLE_PRIMES),
+            st.just(257 * 263),
+            st.sampled_from((65537, 65537**2, 65537**3)),
+            st.just(2**31 - 1),
+        )
+    )
+    sign = draw(st.sampled_from((1, -1)))
+    return sign * prod(p**e for p, e in powers) * rest
+
+
+@given(peel_cases(), st.sampled_from((251, 256, 257, 1 << 16, (1 << 16) + 1)))
+@example(2**60 * 3**7, 3)  # sixty passes of the peel
+@example(-(251**9) * 257**4, 256)
+@example(251**9 * 257**4, 257)
+@example(65537**3 * 7**5, 1 << 16)
+@example(65537**3 * 7**5, (1 << 16) + 1)
+@example(65521, 1 << 16)  # the peel stops at 2**8 and leaves a prime at most bound
+@example(-65537, 1 << 16)  # ... or a prime above it
+@example(257 * 263, 300)  # the peel must reach sqrt|n| to leave a prime
+@example(1, 2)
+@settings(max_examples=200)
+def test_is_smooth_matches_trial_factor_at_the_peel_bounds(n, bound):
+    assert is_smooth(n, bound) == trial_factor(n, bound).complete
+
+
 # --- squarefree_part ---
 
 
@@ -400,6 +437,10 @@ def test_squarefree_part_pinned_values():
     assert squarefree_part(144) == (1, 12)
     with pytest.raises(DomainError):
         squarefree_part(0)
+    # a rest beyond full_factor's limit raises its error, which names n itself
+    n = 7 * (2**31 - 1) * (2**31 - 19)
+    with pytest.raises(DomainError, match=f"; {n} leaves {n // 7},"):
+        squarefree_part(n)
 
 
 @given(small_nonzero)
@@ -407,6 +448,19 @@ def test_squarefree_part_reassembles(n):
     kernel, root = squarefree_part(n)
     assert kernel * root * root == n
     assert all(e == 1 for _, e in full_factor(kernel).factors)
+
+
+@given(peel_cases())
+@example(251**2 * 257)
+@example(65521)  # the largest prime below 2**16 is left whole by the peel
+@example(-257 * 263)  # a rest of 2**16 or more goes through full_factor
+@example(3 * 257**2)  # a square rest is not a prime
+@example(2**40 * 3**25)
+def test_squarefree_part_matches_full_factor(n):
+    f = full_factor(n)
+    kernel = f.sign * prod(p for p, e in f.factors if e % 2)
+    root = prod(p ** (e // 2) for p, e in f.factors)
+    assert squarefree_part(n) == (kernel, root)
 
 
 # --- iroot ---
