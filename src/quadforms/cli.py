@@ -244,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smooth-bound", type=int, default=None)
     p.add_argument("--limit", type=int, default=None,
                    help="sieve limit (default isqrt); the sieve runs only when isqrt of "
-                        f"the cofactor is at most {_SIEVE_BUDGET} or SQUFOF exhausts its bounds")
+                        f"the cofactor is at most {_SIEVE_BUDGET}")
     p.add_argument("--class-seed", type=int, default=None, metavar="LEAD",
                    help="harvest class multiples from a seed with this lead")
 

@@ -1,17 +1,18 @@
 """Factoring integers through quadratic residues harvested from forms.
 
 When isqrt(M) exceeds _SIEVE_BUDGET, Shanks's square-form factorisation
-(SQUFOF) comes first: it walks the principal cycle of det kM to a square form
-and the cycle of its inverse square root to an ambiguous form, whose lead
-splits M; each walk has an explicit step bound.  Failing that, or for smaller
-M, residues are harvested.  Every residue collected here is a small number r
-with x^2 = r (mod M) for some known or deducible x.  Three harvests produce
-them: leading coefficients along the period of (1, floor(sqrt(kM)), ...),
-smooth values of k*x^2 - M near sqrt(M/k), and outer coefficients of reduced
-powers of a class of determinant -kM.  A raw value sharing a prime with M
-splits it by a gcd.  Otherwise the sieve keeps every odd prime p <= limit for
-which no kernel is a non-residue mod p, tested by Euler's criterion.  Every
-residue of M is a square mod each prime of M, so true prime factors always
+(SQUFOF, numtheory._squfof) is the only stage: it walks the principal cycle
+of det kM to a square form and the cycle of its inverse square root to an
+ambiguous form, whose lead splits M; each walk has an explicit step bound,
+and an M it does not split is left partial.  A smaller M is harvested.
+Every residue collected here is a small number r with x^2 = r (mod M) for
+some known or deducible x.  Three harvests produce them: leading
+coefficients along the period of (1, floor(sqrt(kM)), ...), smooth values
+of k*x^2 - M near sqrt(M/k), and outer coefficients of reduced powers of a
+class of determinant -kM.  A raw value sharing a prime with M splits it by
+a gcd.  Otherwise the sieve keeps every odd prime p <= limit for which no
+kernel is a non-residue mod p, tested by Euler's criterion.  Every residue
+of M is a square mod each prime of M, so true prime factors always
 survive, and trial division over the survivors (and recursion on the
 quotient) finishes the job.
 
@@ -34,6 +35,7 @@ from .numtheory import (
     _TRIAL_CAP,
     DomainError,
     Factorization,
+    _squfof,
     full_factor,
     iroot,
     is_prime,
@@ -274,7 +276,7 @@ def combine(residues: list[WitnessedResidue] | tuple[WitnessedResidue, ...], m: 
     return HarvestResult(tuple(out), tuple(factors))
 
 
-# crack_hard runs SQUFOF, before any harvest, when isqrt(r) exceeds this width
+# crack_hard runs SQUFOF alone, with no harvest or sieve, when isqrt(r) exceeds this width
 _SIEVE_BUDGET = 1 << 10
 
 
@@ -298,102 +300,6 @@ def sieve_candidates(
             break
         survivors = [p for p in survivors if pow(k, p >> 1, p) != p - 1]
     return tuple(survivors)
-
-
-# the squarefree products of 3, 5, 7 and 11
-_SQUFOF_MULTIPLIERS = (1, 3, 5, 7, 11, 15, 21, 33, 35, 55, 77, 105, 165, 231, 385, 1155)
-
-
-def _square_form(
-    n: int, k: int, state: tuple[int, int, int, int], bound: int
-) -> tuple[int, int, int, int]:
-    """Walk the principal cycle of det kN to the next proper square form or to form `bound`.
-
-    state = (i, Q_i, P_i, Q_(i+1)) stands for form i = ((-1)^i Q_i, P_i,
-    (-1)^(i+1) Q_(i+1)) of the cycle of (1, s, s^2 - kN), s = isqrt(kN), which
-    is (0, 1, s, kN - s^2); each step is reduction._walk's, taken two at a
-    time, so i and bound are even.  The walk stops at the first form i whose
-    lead Q_i = r^2 is a proper square, or at i = bound.  A square is improper
-    when r = Q_j / gcd(Q_j, 2k) for a lead Q_j met on the way: its square root
-    then lies in the class of a form whose lead divides 2k, so its ambiguous
-    form gives only a trivial factor (Gower & Wagstaff's queue).
-    """
-    # steps are fused here and in _ambiguous_form, not drawn from _walk: on 56
-    # semiprimes of 32 to 56 bits a bare _walk step took 425 ns and a step of
-    # this loop 254 ns (Python 3.11.7), and SQUFOF is most of factor's time
-    kn = k * n
-    s = isqrt(kn)
-    # leads stay below 2s, so a root r is at most isqrt(2s)
-    small = 2 * k * isqrt(2 * s)
-    improper: set[int] = set()
-    i, q0, p, q = state
-    for i in range(i + 2, bound + 1, 2):
-        # odd step: form i-1 is (-Q_(i-1), P_(i-1), Q_i) = (-q, p1, q0)
-        b = (s + p) // q
-        p1 = b * q - p
-        q0 += b * (p - p1)
-        if q < small:
-            improper.add(q // gcd(q, 2 * k))
-        # even step: form i is (Q_i, P_i, -Q_(i+1)) = (q0, p, -q)
-        b = (s + p1) // q0
-        p = b * q0 - p1
-        q += b * (p1 - p)
-        if q0 < small:
-            improper.add(q0 // gcd(q0, 2 * k))
-        r = isqrt(q0)
-        if r * r == q0 and r not in improper:
-            break
-    return i, q0, p, q
-
-
-def _ambiguous_form(kn: int, r: int, p: int, bound: int) -> tuple[int, int, int] | None:
-    """From the square form (r^2, p, .) of det kn, the first ambiguous form of the
-    cycle of its inverse square root (r, -p, .), as (Q, P, Q'); None after `bound` steps.
-
-    The walk starts at (r, P, (P^2 - kn)/r), the same class with P = -p (mod r)
-    in (s - r, s], and steps like _square_form until a step keeps P: the form
-    reached is then (±Q, P, ∓Q') with Q | 2P.
-    """
-    s = isqrt(kn)
-    p = s - (s + p) % r
-    q0, q = r, (kn - p * p) // r
-    for _ in range(bound):
-        b = (s + p) // q
-        p1 = b * q - p
-        if p1 == p:
-            return q, p, q0
-        q0, q, p = q, q0 + b * (p - p1), p1
-    return None
-
-
-def _squfof(n: int, bound: int | None = None) -> int | None:
-    """A proper factor of n by square-form factorisation, or None.
-
-    Shanks's SQUFOF (Gower & Wagstaff, Math. Comp. 77, 2008): for each
-    multiplier k, walk the principal cycle of det kN to a proper square form,
-    then the cycle of its inverse square root to an ambiguous form, whose lead
-    shares a factor with N or not; then go on to the next multiplier.  Each of
-    the two walks takes at most `bound` steps (an even number), by default
-    3 * 2 * isqrt(2 * isqrt(n)), so no multiplier takes more than 2 * bound.
-    """
-    if bound is None:
-        bound = 6 * isqrt(2 * isqrt(n))
-    for k in _SQUFOF_MULTIPLIERS:
-        kn = k * n
-        s = isqrt(kn)
-        if s * s == kn:
-            g = gcd(s, n)
-            if 1 < g < n:
-                return g
-            continue
-        i, q0, p, _ = _square_form(n, k, (0, 1, s, kn - s * s), bound)
-        if i < bound:
-            found = _ambiguous_form(kn, isqrt(q0), p, bound)
-            if found is not None:
-                g = gcd(found[0], n)
-                if 1 < g < n:
-                    return g
-    return None
 
 
 @dataclass(frozen=True)
@@ -448,9 +354,9 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
 
     Small primes are stripped by trial division; prime and perfect-power
     leftovers are dispatched directly.  A leftover r with isqrt(r) >
-    _SIEVE_BUDGET goes to SQUFOF first, so a report whose every such r
-    SQUFOF splits carries no residues.  If SQUFOF finds no factor within its
-    bounds, or r is smaller, r is harvested; a proper gcd of a harvested raw
+    _SIEVE_BUDGET goes to SQUFOF alone, so it adds no residues; if SQUFOF
+    finds no factor within its bounds, r stays unfactored with a note.  A
+    smaller r (below 1025**2) is harvested; a proper gcd of a harvested raw
     value with it splits it.  Otherwise the pool is sieved and the quotient by
     any survivor that divides is recursed on.  If no survivor divides, or a
     leftover is too large for is_prime to decide, the report comes back
@@ -510,10 +416,11 @@ def factor(m: int, config: FactorConfig | None = None) -> FactorReport:
 
         if isqrt(r) > _SIEVE_BUDGET:
             g = _squfof(r)
-            if g is not None:
-                if not (1 < g < r and r % g == 0):
-                    raise DomainError(f"SQUFOF returned {g}, which does not split {r}")
-                return split(g)
+            if g is None:
+                notes.append(f"SQUFOF found no factor of {r} within its bounds")
+                leftover *= r**mult
+                return
+            return split(g)
         for k in cfg.multipliers:
             s = isqrt(k * r)
             if s * s == k * r:

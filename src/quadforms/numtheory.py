@@ -3,6 +3,10 @@
 Kernels and smoothness peel small primes by gcds against a cached product of
 primes (Bernstein, "How to find smooth parts of integers", 2004) rather than
 dividing by one prime at a time; see _strip.
+
+Trial division stops at 2**16.  A part left with no prime factor that small
+is split by _split_cofactor alone, with Shanks's square-form factorisation
+(SQUFOF) for a composite below 2**64; factorizer runs the same _squfof.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ def jacobi(a: int, n: int) -> int:
 # The one trial-division table: is_prime looks n up in the primes below this
 # cap, sqrt_mod, full_factor and the sieve divide over them, and _primorial
 # multiplies a slice of them, so every caller reads the one cached
-# primes_upto(_TRIAL_CAP).
+# primes_upto(_TRIAL_CAP).  _split_cofactor takes what division leaves.
 _TRIAL_CAP = 1 << 16
 
 
@@ -114,11 +118,10 @@ def sqrt_mod(a: int, m: int) -> tuple[int, ...]:
     lifting carries it to p**k; a unit mod 2**k has 1, 2 or 4 roots; when
     p | a, a = p**j * u with j even is solved through y*y ≡ u (mod p**(k-j)).
 
-    Size cap: trial division runs over the primes below 2**16, the one table
-    primes_upto(_TRIAL_CAP).  The leftover is accepted when it is below 2**32
-    (it is then prime) or when it is q**k for a q that is_prime proves prime
-    (k found by iroot); any other modulus raises DomainError naming the cap,
-    so no modulus is ever scanned.
+    Trial division runs over the primes below 2**16, the one table
+    primes_upto(_TRIAL_CAP); a leftover with no prime factor that small is
+    split by _split_cofactor, whose DomainError names its limit, so no
+    modulus is ever scanned.
     """
     if m < 1:
         raise DomainError("modulus must be positive")
@@ -128,7 +131,6 @@ def sqrt_mod(a: int, m: int) -> tuple[int, ...]:
     r = m
     for p in primes_upto(_TRIAL_CAP):
         if p * p > r:  # r is 1 or a prime
-            p = r
             break
         if r % p == 0:
             pk = p
@@ -140,32 +142,14 @@ def sqrt_mod(a: int, m: int) -> tuple[int, ...]:
             if not roots:
                 return ()
             done *= pk
-    else:  # no prime below the cap divides r, so r is prime if below the cap squared
-        p = r if r < _TRIAL_CAP**2 else _proven_prime_root(r)
-        if p is None:
-            raise DomainError(
-                f"sqrt_mod factors its modulus by trial division up to {_TRIAL_CAP}; "
-                f"{m} leaves {r}, which is at least {_TRIAL_CAP}**2 "
-                "and not a power of a proven prime"
-            )
     if r > 1:
-        roots = _crt_roots(roots, done, _sqrt_mod_prime_power(a % r, p, r), r)
+        for q, e in _split_cofactor(r):
+            qe = q**e
+            roots = _crt_roots(roots, done, _sqrt_mod_prime_power(a % qe, q, qe), qe)
+            if not roots:
+                return ()
+            done *= qe
     return tuple(sorted(roots))
-
-
-def _proven_prime_root(n: int) -> int | None:
-    """The prime q with n = q**k when is_prime proves q prime, else None.
-
-    For n with no prime factor up to 2**16, so that q**k > 2**(16k) bounds k.
-    """
-    for k in range(1, n.bit_length() // 16 + 1):
-        q, exact = iroot(n, k)
-        try:
-            if exact and is_prime(q):
-                return q
-        except DomainError:  # beyond the proof bound of is_prime
-            pass
-    return None
 
 
 def _crt_roots(xs: list[int], m: int, ys: tuple[int, ...], n: int) -> list[int]:
@@ -375,47 +359,46 @@ def trial_factor(n: int, bound: int = 1000) -> Factorization:
     return Factorization(sign, tuple(factors), cofactor)
 
 
-def _full_bound(n: int) -> int:
-    """Trial-division bound for a complete factorization of n.
-
-    Division stops at p*p > r, and a leftover with no divisor up to its square
-    root is prime, so every bound above sqrt(|n|) gives the same factorization.
-    """
-    return 1 << (isqrt(abs(n)) + 1).bit_length()
-
-
 def full_factor(n: int) -> Factorization:
-    """Complete factorization by trial division (n of desk scale).
+    """Complete factorization: trial division below 2**16, then _split_cofactor.
 
-    Division runs first over the primes below 2**16, the one table
-    primes_upto(_TRIAL_CAP).  A cofactor of at least 2**32 has no prime
-    factor that small and may be composite: it is accepted when it is q**k
-    for a q that is_prime proves prime, and otherwise divided again over a
-    table sized by it, which must be at most 2**24 (a cofactor below about
-    2**48).  A larger composite cofactor raises DomainError naming that limit.
+    Division runs over the primes below 2**16, the one table
+    primes_upto(_TRIAL_CAP).  A cofactor left after it has no prime factor
+    that small and goes to _split_cofactor, which proves each part prime or
+    raises DomainError naming its limit.
     """
     f = trial_factor(n, _TRIAL_CAP)
-    factors, r = f.factors, f.cofactor
-    if r >= _TRIAL_CAP**2:
-        q = _proven_prime_root(r)
-        if q is not None:
-            k = 0
-            while r > 1:
-                r //= q
-                k += 1
-            factors += ((q, k),)
-        elif (bound := _full_bound(r)) > 1 << 24:
-            raise DomainError(
-                f"full_factor divides a cofactor by primes up to {1 << 24} at most; "
-                f"{n} leaves {r}, which needs primes up to {bound} "
-                "and is not a power of a proven prime"
-            )
-        else:
-            g = trial_factor(r, bound)
-            factors, r = factors + g.factors, g.cofactor
-    if r > 1:  # r survived division by every prime up to its square root
-        factors += ((r, 1),)
-    return Factorization(f.sign, factors, 1)
+    if f.complete:
+        return f
+    return Factorization(f.sign, f.factors + _split_cofactor(f.cofactor), 1)
+
+
+def _split_cofactor(r: int) -> tuple[tuple[int, int], ...]:
+    """The prime powers (q, e) of r > 1, q ascending, for r prime or with no prime factor below 2**16.
+
+    A part below _TRIAL_CAP**2 is then prime; a larger one is prime if is_prime
+    proves it, whose DomainError beyond its proof bound passes through.  A
+    perfect power is split by iroot, any other composite below
+    _TRIAL_CAP**4 by _squfof, and the parts are split again.  A larger
+    composite, or one SQUFOF does not split, raises DomainError.
+    """
+    if r < _TRIAL_CAP**2 or is_prime(r):
+        return ((r, 1),)
+    # r = q**k with q > 2**16 has more than 16*k bits
+    for k in range(2, r.bit_length() // 16 + 1):
+        q, exact = iroot(r, k)
+        if exact:
+            return tuple((p, e * k) for p, e in _split_cofactor(q))
+    g = _squfof(r) if r < _TRIAL_CAP**4 else None
+    if g is None:
+        raise DomainError(
+            f"{r} is composite with no prime factor below {_TRIAL_CAP}; such a part "
+            f"is split only below {_TRIAL_CAP}**4, by SQUFOF within its step bounds"
+        )
+    parts: dict[int, int] = {}
+    for q, e in _split_cofactor(g) + _split_cofactor(r // g):
+        parts[q] = parts.get(q, 0) + e
+    return tuple(sorted(parts.items()))
 
 
 @lru_cache(maxsize=32)
@@ -469,14 +452,15 @@ def squarefree_part(n: int) -> tuple[int, int]:
     The primes below 2**8 are peeled by gcds with their product.  A rest
     below 2**16 then has no prime factor up to its square root, so it is 1
     or a prime and joins the kernel.  Only when the rest is 2**16 or more is
-    n factored, by full_factor, whose DomainError bounds the work.
+    n factored, by full_factor, whose DomainError from _split_cofactor
+    bounds the work.
     """
     if n == 0:
         raise DomainError("0 has no squarefree part")
     kernel, rest = _strip(abs(n), _primorial(isqrt(_TRIAL_CAP)))
     if rest < _TRIAL_CAP:
         kernel *= rest
-    else:  # rare; factoring n itself keeps full_factor's error naming n
+    else:  # rare
         kernel = prod(p for p, e in full_factor(n).factors if e % 2)
     return (kernel if n > 0 else -kernel), isqrt(abs(n) // kernel)
 
@@ -494,3 +478,98 @@ def iroot(n: int, k: int) -> tuple[int, bool]:
             break
         x = y
     return x, x**k == n
+
+
+# the squarefree products of 3, 5, 7 and 11
+_SQUFOF_MULTIPLIERS = (1, 3, 5, 7, 11, 15, 21, 33, 35, 55, 77, 105, 165, 231, 385, 1155)
+
+
+def _square_form(
+    n: int, k: int, state: tuple[int, int, int, int], bound: int
+) -> tuple[int, int, int, int]:
+    """Walk the principal cycle of det kN to the next proper square form or to form `bound`.
+
+    state = (i, Q_i, P_i, Q_(i+1)) stands for form i = ((-1)^i Q_i, P_i,
+    (-1)^(i+1) Q_(i+1)) of the cycle of (1, s, s^2 - kN), s = isqrt(kN), which
+    is (0, 1, s, kN - s^2); each step is reduction._walk's, taken two at a
+    time, so i and bound are even.  The walk stops at the first form i whose
+    lead Q_i = r^2 is a proper square, or at i = bound.  A square is improper
+    when r = Q_j / gcd(Q_j, 2k) for a lead Q_j met on the way: its square root
+    then lies in the class of a form whose lead divides 2k, so its ambiguous
+    form gives only a trivial factor (Gower & Wagstaff's queue).
+    """
+    # steps are fused here and in _ambiguous_form, not drawn from _walk: on 56
+    # semiprimes of 32 to 56 bits a bare _walk step took 425 ns and a step of
+    # this loop 254 ns (Python 3.11.7), and SQUFOF is most of factor's time
+    kn = k * n
+    s = isqrt(kn)
+    # leads stay below 2s, so a root r is at most isqrt(2s)
+    small = 2 * k * isqrt(2 * s)
+    improper: set[int] = set()
+    i, q0, p, q = state
+    for i in range(i + 2, bound + 1, 2):
+        # odd step: form i-1 is (-Q_(i-1), P_(i-1), Q_i) = (-q, p1, q0)
+        b = (s + p) // q
+        p1 = b * q - p
+        q0 += b * (p - p1)
+        if q < small:
+            improper.add(q // gcd(q, 2 * k))
+        # even step: form i is (Q_i, P_i, -Q_(i+1)) = (q0, p, -q)
+        b = (s + p1) // q0
+        p = b * q0 - p1
+        q += b * (p1 - p)
+        if q0 < small:
+            improper.add(q0 // gcd(q0, 2 * k))
+        r = isqrt(q0)
+        if r * r == q0 and r not in improper:
+            break
+    return i, q0, p, q
+
+
+def _ambiguous_form(kn: int, r: int, p: int, bound: int) -> tuple[int, int, int] | None:
+    """From the square form (r^2, p, .) of det kn, the first ambiguous form of the
+    cycle of its inverse square root (r, -p, .), as (Q, P, Q'); None after `bound` steps.
+
+    The walk starts at (r, P, (P^2 - kn)/r), the same class with P = -p (mod r)
+    in (s - r, s], and steps like _square_form until a step keeps P: the form
+    reached is then (±Q, P, ∓Q') with Q | 2P.
+    """
+    s = isqrt(kn)
+    p = s - (s + p) % r
+    q0, q = r, (kn - p * p) // r
+    for _ in range(bound):
+        b = (s + p) // q
+        p1 = b * q - p
+        if p1 == p:
+            return q, p, q0
+        q0, q, p = q, q0 + b * (p - p1), p1
+    return None
+
+
+def _squfof(n: int, bound: int | None = None) -> int | None:
+    """A proper factor of n by square-form factorisation, or None.
+
+    Shanks's SQUFOF (Gower & Wagstaff, Math. Comp. 77, 2008): for each
+    multiplier k, walk the principal cycle of det kN to a proper square form,
+    then the cycle of its inverse square root to an ambiguous form, whose lead
+    shares a factor with N or not; then go on to the next multiplier.  Each of
+    the two walks takes at most `bound` steps (an even number), by default
+    3 * 2 * isqrt(2 * isqrt(n)), so no multiplier takes more than 2 * bound.
+    A factor is checked by division before it is returned.
+    """
+    if bound is None:
+        bound = 6 * isqrt(2 * isqrt(n))
+    for k in _SQUFOF_MULTIPLIERS:
+        kn = k * n
+        s = isqrt(kn)
+        if s * s == kn:
+            g = gcd(s, n)
+        else:
+            i, q0, p, _ = _square_form(n, k, (0, 1, s, kn - s * s), bound)
+            found = _ambiguous_form(kn, isqrt(q0), p, bound) if i < bound else None
+            g = 1 if found is None else gcd(found[0], n)
+        if 1 < g < n:
+            if n % g:
+                raise DomainError(f"SQUFOF found {g}, which does not divide {n}")
+            return g
+    return None

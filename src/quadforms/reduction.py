@@ -222,4 +222,9 @@ def properly_equivalent(f1: QuadraticForm, f2: QuadraticForm) -> bool:
         return reduce_negative(f1).result == reduce_negative(f2).result
     if _is_square(d):
         raise DomainError("square determinants are not supported")
-    return reduce_positive(f2).result in period(f1)
+    # walk the period from f1's reduced form until f2's reduced form or the start again
+    start = reduce_positive(f1).result.coefficients()
+    target = reduce_positive(f2).result.coefficients()
+    if target == start:
+        return True
+    return next(t for t in _walk(d, *start) if t in (target, start)) == target

@@ -9,15 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadforms import factorizer
+from quadforms import factorizer, numtheory
 from quadforms.factorizer import (
     _SIEVE_BUDGET,
     FactorConfig,
     HarvestResult,
     WitnessedResidue,
-    _ambiguous_form,
-    _square_form,
-    _squfof,
     combine,
     factor,
     harvest_from_class_multiples,
@@ -28,7 +25,17 @@ from quadforms.factorizer import (
     witnessed_residue,
 )
 from quadforms.forms import QuadraticForm
-from quadforms.numtheory import DomainError, full_factor, is_prime, jacobi, primes_upto, squarefree_part
+from quadforms.numtheory import (
+    DomainError,
+    _ambiguous_form,
+    _square_form,
+    _squfof,
+    full_factor,
+    is_prime,
+    jacobi,
+    primes_upto,
+    squarefree_part,
+)
 from quadforms.reduction import (
     enumerate_reduced_negative,
     enumerate_reduced_positive,
@@ -507,11 +514,32 @@ def test_squfof_out_of_bound_falls_back_to_the_sieve(monkeypatch):
     # 3 * 1000003^2 is not a square, but 3 times it is
     assert _squfof(3 * 1000003**2, bound=2) == 3 * 1000003
     monkeypatch.setattr(factorizer, "_squfof", lambda r: _squfof(r, bound=2))
+    # above the budget nothing follows SQUFOF: no harvest, no sieve
     rep = factor(N40)
-    assert rep.status == "complete"
-    assert rep.factorization.factors == ((917513, 1), (983063, 1))
-    assert 917513 in rep.survivors
-    assert rep.residues != ()
+    assert rep.status == "partial"
+    assert rep.factorization.factors == ()
+    assert rep.factorization.cofactor == N40
+    assert rep.notes == (f"SQUFOF found no factor of {N40} within its bounds",)
+    assert rep.residues == () and rep.survivors == ()
+
+
+def test_factor_ends_partial_when_squfof_gives_up_on_a_large_cofactor(monkeypatch):
+    # the harvests once reached full_factor's refusal on this 120-bit input
+    p, q = 10**18 + 3, 10**18 + 9
+    monkeypatch.setattr(factorizer, "_squfof", lambda r: None)
+    rep = factor(7 * p * q)
+    assert rep.status == "partial"
+    assert rep.factorization.factors == ((7, 1),)
+    assert rep.factorization.cofactor == p * q
+    assert rep.notes == (f"SQUFOF found no factor of {p * q} within its bounds",)
+    assert rep.residues == ()
+
+
+def test_squfof_checks_its_factor_by_division(monkeypatch):
+    # a gcd always divides, so a stubbed gcd stands in for a faulty walk
+    monkeypatch.setattr(numtheory, "gcd", lambda a, b: 3)
+    with pytest.raises(DomainError, match="SQUFOF found 3, which does not divide 1000036000099"):
+        _squfof(1000003 * 1000033)
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,18 @@ def test_character_covers_large_prime_divisors():
     assert [p for p, _ in character(f).odd_prime_entries] == [7, 23]
 
 
+def test_character_of_a_determinant_with_two_large_primes():
+    # |D| = p*q is above 2**32 with no prime factor below 2**16: SQUFOF splits it
+    p, q = 10**9 + 7, 10**9 + 9
+    f = QuadraticForm(1, 0, p * q)
+    assert str(character(f)) == "R1000000007; R1000000009"
+    ok, witness = is_characteristic_number(1, f)
+    assert ok and (witness.g, witness.h, witness.modulus) == (1, 0, p * q)
+    # m*f has a root mod pq exactly when m is a residue of both primes
+    for m in (2, 3, 5, 6, 7):
+        assert is_characteristic_number(m, f)[0] == (jacobi(m, p) == jacobi(m, q) == 1)
+
+
 def test_character_rejects_bad_forms():
     with pytest.raises(DomainError):
         character(QuadraticForm(2, 4, 6))

@@ -198,8 +198,11 @@ def test_sqrt_mod_on_prime_powers_and_products(case):
 
 def test_sqrt_mod_refuses_a_modulus_beyond_the_cap():
     t0 = time.perf_counter()
-    with pytest.raises(DomainError, match="trial division up to 65536; 1000036000099 leaves"):
-        sqrt_mod(2, 1000003 * 1000033)
+    # a composite leftover beyond the table is split, not refused: 2 is a
+    # non-residue mod 1000003, and 4 has 2 * 2 roots
+    m = 1000003 * 1000033
+    assert sqrt_mod(2, m) == ()
+    assert sqrt_mod(4, m) == (2, 66669200009, 933366800090, m - 2)
     # a prime leftover is solved, by pow(a, (p+1)/4, p) since 2**61 - 1 ≡ 3 (mod 4)
     assert sqrt_mod(4, 2**61 - 1) == (2, 2**61 - 3)
     big = 2**61 - 1
@@ -218,8 +221,11 @@ def test_sqrt_mod_solves_a_prime_power_leftover():
     # iroot finds q from q**4 after rejecting the composite square root q**2
     assert sqrt_mod(4, q**4) == (2, q**4 - 2)
     assert sqrt_mod(0, q**3) == tuple(range(0, q**3, q**2))
-    with pytest.raises(DomainError, match="not a power of a proven prime"):
-        sqrt_mod(2, (1000003 * 1000033) ** 2)
+    # a square of a composite leftover is split as well
+    m = (1000003 * 1000033) ** 2
+    roots = sqrt_mod(4, m)
+    assert len(roots) == 4 and roots[0] == 2 and roots[-1] == m - 2
+    assert all(x * x % m == 4 for x in roots)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -315,16 +321,16 @@ def test_full_factor_is_complete(n):
 
 
 def test_full_factor_sizes_its_table_by_the_cofactor(monkeypatch):
-    # _full_bound would size tables of 2**40, 2**47 and 2**37 entries by n itself
+    # tables sized by n itself would hold 2**40, 2**47 and 2**37 entries
     asked = []
     real = numtheory.primes_upto
     monkeypatch.setattr(numtheory, "primes_upto", lambda b: asked.append(b) or real(b))
     assert full_factor(101**12).factors == ((101, 12),)
     assert full_factor(2**60 * 101**5).factors == ((2, 60), (101, 5))
     assert squarefree_part(101**11) == (101, 101**5)
-    # a composite cofactor of 2**32 or more is divided again over a table sized by it
+    # a composite cofactor of 2**32 or more is split by SQUFOF, not divided over a second table
     assert full_factor(-3 * 65537 * 65539).factors == ((3, 1), (65537, 1), (65539, 1))
-    assert max(asked) == 1 << 17
+    assert max(asked) == 1 << 16
 
 
 def test_full_factor_proves_a_prime_cofactor_and_bounds_a_composite_one(monkeypatch):
@@ -336,11 +342,69 @@ def test_full_factor_proves_a_prime_cofactor_and_bounds_a_composite_one(monkeypa
     big = 2**61 - 1
     assert full_factor(3 * big).factors == ((3, 1), (big, 1))
     assert full_factor(-(65537**3) * 5).factors == ((5, 1), (65537, 3))
-    # a composite cofactor that needs primes beyond 2**24 is refused, not scanned
-    with pytest.raises(DomainError, match="primes up to 16777216 at most; .* needs primes up to 2147483648"):
-        full_factor((2**31 - 1) * (2**31 - 19))
+    # a composite cofactor that would need primes beyond 2**24 is split by SQUFOF
+    assert full_factor((2**31 - 1) * (2**31 - 19)).factors == ((2147483629, 1), (2147483647, 1))
     assert time.perf_counter() - t0 < 1.0
     assert max(asked) == 1 << 16
+
+
+_SPLIT_PRIMES = st.integers(min_value=(1 << 16) + 1, max_value=(1 << 21) - 1).map(
+    lambda n: next(p for p in range(n | 1, 1 << 22, 2) if is_prime(p))
+)
+
+
+@st.composite
+def split_cases(draw):
+    """(n, a): n = small * (product of 2 or 3 primes above 2**16)**k, k <= 3, a a unit mod n."""
+    primes = draw(st.lists(_SPLIT_PRIMES, min_size=2, max_size=3))
+    k = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.sampled_from([1, 2, 12, 35, 8 * 9 * 5])) * prod(primes) ** k
+    x = draw(st.integers(min_value=1, max_value=n - 1))
+    if gcd(x, n) != 1:
+        x = 1
+    return n, (x * x if draw(st.booleans()) else x) % n
+
+
+@given(split_cases())
+@settings(max_examples=25, deadline=None)
+@example((65537 * 65539, 4))
+@example((131071**2 * 524287, 9))  # not a perfect power, and SQUFOF takes one prime
+@example((24 * (65537 * 2097143) ** 3, 25))  # iroot, then SQUFOF
+def test_split_cofactor_products_of_large_primes(case):
+    n, a = case
+    f = full_factor(n)
+    assert f.complete and f.value() == n
+    primes = [p for p, _ in f.factors]
+    assert primes == sorted(set(primes))
+    assert all(is_prime(p) for p in primes)
+    roots = sqrt_mod(a, n)
+    assert all(x * x % n == a for x in roots)
+    assert len(roots) == prod(len(sqrt_mod(a, p**e)) for p, e in f.factors)
+
+
+def test_split_cofactor_refuses_a_composite_part_of_2_64_or_more():
+    n = (2**61 - 1) * (2**89 - 1)
+    message = f"{n} is composite with no prime factor below 65536; such a part is split only below 65536\\*\\*4"
+    with pytest.raises(DomainError, match=message):
+        full_factor(5 * n)
+    with pytest.raises(DomainError, match=message):
+        sqrt_mod(4, 5 * n)
+
+
+def test_split_cofactor_passes_on_the_proof_bound_of_is_prime():
+    with pytest.raises(DomainError, match=f"proven only below 3317044064679887385961981; {2**89 - 1} passes"):
+        full_factor(3 * (2**89 - 1))
+    with pytest.raises(DomainError, match="proven only below 3317044064679887385961981"):
+        sqrt_mod(4, 3 * (2**89 - 1))
+
+
+def test_split_cofactor_refuses_a_part_squfof_does_not_split(monkeypatch):
+    monkeypatch.setattr(numtheory, "_squfof", lambda n: None)
+    n = (2**31 - 1) * (2**31 - 19)
+    with pytest.raises(DomainError, match=f"{n} is composite .* by SQUFOF within its step bounds"):
+        full_factor(n)
+    # a perfect power needs no SQUFOF
+    assert full_factor(7 * 65537**5).factors == ((7, 1), (65537, 5))
 
 
 def test_is_smooth():
@@ -437,10 +501,9 @@ def test_squarefree_part_pinned_values():
     assert squarefree_part(144) == (1, 12)
     with pytest.raises(DomainError):
         squarefree_part(0)
-    # a rest beyond full_factor's limit raises its error, which names n itself
+    # a rest of two primes beyond 2**24 is split through full_factor
     n = 7 * (2**31 - 1) * (2**31 - 19)
-    with pytest.raises(DomainError, match=f"; {n} leaves {n // 7},"):
-        squarefree_part(n)
+    assert squarefree_part(n) == (32281801828344004741, 1)
 
 
 @given(small_nonzero)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadforms import reduction
 from quadforms.forms import QuadraticForm, UnimodularMap, is_contiguous, transform
 from quadforms.numtheory import DomainError, ext_gcd
 from quadforms.reduction import (
@@ -393,6 +394,33 @@ def test_properly_equivalent_positive_determinant():
     assert properly_equivalent(QuadraticForm(3, 8, -5), QuadraticForm(-10, 7, 3))
     with pytest.raises(DomainError):
         properly_equivalent(QuadraticForm(1, 2, 0), QuadraticForm(1, 2, 0))
+
+
+@given(positive_det_forms, st.data())
+@settings(max_examples=60)
+def test_properly_equivalent_agrees_with_the_period(f, data):
+    g = data.draw(st.sampled_from(enumerate_reduced_positive(f.determinant)))
+    # a proper image of a reduced form, mostly unreduced
+    g = transform(g, UnimodularMap(0, -1, 1, data.draw(st.integers(min_value=-3, max_value=3))))
+    assert properly_equivalent(f, g) == (reduce_positive(g).result in period(f))
+
+
+def test_properly_equivalent_stops_at_its_target(monkeypatch):
+    # the period of f holds 532,572 forms, but g is the next one after f's reduced form
+    f = QuadraticForm(1, 0, -(10**12 + 39))
+    g = neighbor(reduce_positive(f).result)
+    steps = []
+    walk = reduction._walk
+
+    def counted(*args):
+        for triple in walk(*args):
+            steps.append(triple)
+            yield triple
+
+    monkeypatch.setattr(reduction, "_walk", counted)
+    assert properly_equivalent(f, g)
+    # two steps reduce f, g is reduced already, and the period walk takes one
+    assert len(steps) == 3
 
 
 @given(negative_det_forms, st.integers(min_value=-4, max_value=4))
